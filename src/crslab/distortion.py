@@ -344,8 +344,11 @@ def _shape_errors_2d(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
     rx = np.tile(rel, m)
     ry = np.repeat(rel, m)
     rr = np.hypot(rx, ry)
-    in_disc = rr <= 0.5 * wl
-    phi_grid = np.where(in_disc, _raised_cosine(rr, amplitude, wl), 0.0)
+    # Only nodes in the disc and the hull contribute; scattering them back
+    # onto the full grid keeps the Simpson sums bit-identical.
+    disc = np.flatnonzero(rr <= 0.5 * wl)
+    rx, ry = rx[disc], ry[disc]
+    phi_disc = _raised_cosine(rr[disc], amplitude, wl)
     w1 = np.ones(m)
     w1[1:-1:2] = 4.0
     w1[2:-1:2] = 2.0
@@ -354,30 +357,25 @@ def _shape_errors_2d(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
     out = np.empty(n)
     for i in range(n):
         px, py = float(peaks[i, 0]), float(peaks[i, 1])
-        qx = px + rx
-        qy = py + ry
-        pts = np.column_stack([qx, qy])
+        pts = np.column_stack([px + rx, py + ry])
         inside = lattice.contains(pts)
-        phi = np.where(inside, phi_grid, 0.0)
-        if model.variant == "pixel-only":
-            idx = lattice.nearest_index(pts)
-            pd = np.linalg.norm(lattice.positions[idx] - peaks[i][None, :],
-                                axis=1)
-            psi = np.where(inside, _raised_cosine(pd, amplitude, wl), 0.0)
-        else:
-            fld = BumpField2D((px, py), amplitude, wl)
-            if model.variant == "linear":
-                surf = LinearSurface2D(
-                    _raised_cosine(np.linalg.norm(
-                        lattice.positions - peaks[i][None, :], axis=1),
-                        amplitude, wl), lattice)
-            else:
-                surf = CrsSurface2D(fld, lattice, model.settings)
+        pts = np.compress(inside, pts, axis=0)
+        phi = phi_disc[inside]
+        if model.variant == "crs":
+            surf = CrsSurface2D(BumpField2D((px, py), amplitude, wl), lattice,
+                                model.settings)
             psi = surf.extended(pts)
-        integrand = np.where(in_disc, (phi - psi) ** 2, 0.0)
-        num = float(integrand @ w2)
-        den = float((phi ** 2) @ w2)
-        out[i] = math.sqrt(num / den)
+        else:
+            pix = _raised_cosine(np.linalg.norm(
+                lattice.positions - peaks[i][None, :], axis=1), amplitude, wl)
+            if model.variant == "pixel-only":
+                psi = pix[lattice.nearest_index(pts)]
+            else:
+                psi = LinearSurface2D(pix, lattice).extended(pts)
+        node = disc[inside]
+        err, phi2 = np.zeros(m * m), np.zeros(m * m)
+        err[node], phi2[node] = (phi - psi) ** 2, phi ** 2
+        out[i] = math.sqrt(float(err @ w2) / float(phi2 @ w2))
     return out
 
 

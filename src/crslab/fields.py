@@ -89,9 +89,6 @@ class BumpField1D:
         half = 0.5 * self.wavelength
         return (self.peak - half, self.peak + half)
 
-    def shifted(self, offset: float) -> "BumpField1D":
-        return BumpField1D(self.peak + offset, self.amplitude, self.wavelength)
-
     def arc_excess(self, x0: float, x1: float) -> float:
         """Arc length of the profile over [x0, x1] minus the chord (x1 - x0).
 
@@ -287,16 +284,6 @@ class Lattice:
         k = max(k, int(np.abs(self.axial[:, 0] + self.axial[:, 1]).max()))
         return k * self.pitch
 
-    def hull_area(self) -> float:
-        if self.kind == "line":
-            a, b = self.hull_bounds()
-            return b - a
-        if self.kind == "square":
-            (x0, x1), (y0, y1) = self.hull_bounds()
-            return (x1 - x0) * (y1 - y0)
-        radius = self.hull_bounds()
-        return 1.5 * _SQRT3 * radius * radius
-
     # ---------------- membership ----------------
 
     def contains(self, points: Array, margin: float = 0.0) -> Array:
@@ -366,18 +353,22 @@ class Lattice:
         r2 = u[:, 2][:, None]
         return r1 * ((1.0 - r2) * v0 + r2 * v1)
 
-    def sample_uniform(self, n: int, rng: np.random.Generator,
-                       margin: float = 0.0) -> Array:
-        return self.points_from_uniform(
-            rng.random((n, self.uniforms_per_point())), margin=margin)
-
     # ---------------- nearest pixel ----------------
 
     def nearest_index(self, points: Array) -> Array:
-        """Index of the nearest pixel for each query point.
+        """Index of the nearest pixel for each query point, in closed form:
+        a binary search over the cell midpoints (line), the fractional grid
+        coordinates rounded and clamped per axis (square), or the
+        fractional axial coordinates projected onto the hull hexagon and
+        cube-rounded (hexagonal).  Points outside the hull get their
+        nearest pixel too: the hull's edges are full pixel rows and its
+        corners are pixels, so clamping or projecting keeps the answer.
 
-        Exact ties resolve to the lower-indexed pixel in the deterministic
-        enumeration order.
+        Exact ties go to the lower-indexed pixel: square lattices round
+        halves down per axis, hexagonal ones break ties as an infinitesimal
+        step towards -y, then -x, would.  Ties are judged in the fractional
+        lattice coordinates, so a point within roundoff of a cell boundary
+        may land on either side of it.
         """
         if self.kind == "line":
             p = np.atleast_1d(np.asarray(points, dtype=float))
@@ -386,13 +377,14 @@ class Lattice:
             # lower-indexed pixel.
             return np.searchsorted(mids, p, side="left")
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        cand = self._candidate_indices(p)           # (n, c) pixel indices, -1 invalid
-        pos = np.where(cand[..., None] >= 0, self.positions[cand], np.inf)
-        d2 = np.sum((pos - p[:, None, :]) ** 2, axis=2)
-        best = d2.min(axis=1, keepdims=True)
-        order = np.where(d2 <= best, cand, np.iinfo(np.int64).max)
-        idx = order.min(axis=1)
-        return idx
+        if self.kind == "square":
+            nx, ny = self.grid_shape
+            ox, oy = self.origin2d
+            ix = np.clip(_round_half_down((p[:, 0] - ox) / self.pitch), 0, nx - 1)
+            iy = np.clip(_round_half_down((p[:, 1] - oy) / self.pitch), 0, ny - 1)
+            return (iy * nx + ix).astype(np.int64)
+        qf, rf = self._onto_hull_axial(*self.fractional_axial(p))
+        return self.axial_index(*_cube_round(qf, rf))
 
     def nearest_distance(self, points: Array) -> Array:
         idx = self.nearest_index(points)
@@ -402,43 +394,46 @@ class Lattice:
         p = np.atleast_2d(np.asarray(points, dtype=float))
         return np.linalg.norm(self.positions[idx] - p, axis=1)
 
-    def _candidate_indices(self, p: Array) -> Array:
-        """Small per-point candidate sets guaranteed to contain the nearest
-        pixel (floor/ceil of the fractional lattice coordinates)."""
-        if self.kind == "square":
-            nx, ny = self.grid_shape
-            ox, oy = self.origin2d
-            fx = (p[:, 0] - ox) / self.pitch
-            fy = (p[:, 1] - oy) / self.pitch
-            ix = np.clip(np.floor(fx).astype(np.int64), 0, nx - 1)
-            iy = np.clip(np.floor(fy).astype(np.int64), 0, ny - 1)
-            out = []
-            for dx in (0, 1):
-                for dy in (0, 1):
-                    jx = np.clip(ix + dx, 0, nx - 1)
-                    jy = np.clip(iy + dy, 0, ny - 1)
-                    out.append(jy * nx + jx)
-            return np.column_stack(out)
-        # hexagonal: fractional axial coordinates, then the rounded cell and
-        # its six neighbours.
+    # ---------------- axial coordinates (hexagonal) ----------------
+
+    def fractional_axial(self, points: Array) -> Tuple[Array, Array]:
+        """Fractional axial coordinates (q, r) of (n, 2) points: a point
+        sits at origin + pitch * (q + r/2, (sqrt(3)/2) r)."""
         ox, oy = self.origin2d
-        x = p[:, 0] - ox
-        y = p[:, 1] - oy
-        rf = y / (_SQRT3 / 2.0 * self.pitch)
-        qf = x / self.pitch - 0.5 * rf
-        qi = np.round(qf).astype(np.int64)
-        ri = np.round(rf).astype(np.int64)
+        rf = (points[:, 1] - oy) / (_SQRT3 / 2.0 * self.pitch)
+        qf = (points[:, 0] - ox) / self.pitch - 0.5 * rf
+        return qf, rf
+
+    def axial_index(self, q: Array, r: Array) -> Array:
+        """Pixel index at integer axial coordinates, -1 where there is none."""
         table = self._axial_table()
         k = (table.shape[0] - 1) // 2
-        out = []
-        for dq, dr in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)):
-            q = qi + dq
-            r = ri + dr
-            valid = (np.abs(q) <= k) & (np.abs(r) <= k)
-            idx = np.where(valid, table[np.clip(q + k, 0, 2 * k),
-                                        np.clip(r + k, 0, 2 * k)], -1)
-            out.append(idx)
-        return np.column_stack(out)
+        valid = (np.abs(q) <= k) & (np.abs(r) <= k)
+        return np.where(valid, table[np.clip(q + k, 0, 2 * k),
+                                     np.clip(r + k, 0, 2 * k)], -1)
+
+    def _onto_hull_axial(self, qf: Array, rf: Array) -> Tuple[Array, Array]:
+        """Euclidean projection of fractional axial coordinates onto the
+        hull hexagon max(|q|, |r|, |s|) <= k, where s = -q - r."""
+        k = (self._axial_table().shape[0] - 1) // 2
+        # max(|q|, |r|, |s|) is half their sum, since q + r + s = 0
+        out = np.flatnonzero(np.abs(qf) + np.abs(rf) + np.abs(qf + rf) > 2 * k)
+        if out.size == 0:
+            return qf, rf
+        c = np.stack([qf[out], rf[out], -qf[out] - rf[out]])
+        # The largest coordinate names the edge the point lies beyond.  The
+        # edge normal moves the other two by half the excess each, and
+        # clamping them to [-k, 0] (edge +k) or [0, k] (edge -k) stops at
+        # the corners.
+        j = np.argmax(np.abs(c), axis=0)
+        cols = np.arange(out.size)
+        edge = np.copysign(float(k), c[j, cols])
+        lo = np.where(edge > 0.0, -k, 0.0)
+        c = np.clip(c + 0.5 * (c[j, cols] - edge), lo, lo + k)
+        c[j, cols] = edge
+        qf, rf = qf.copy(), rf.copy()
+        qf[out], rf[out] = c[0], c[1]
+        return qf, rf
 
     def _axial_table(self) -> Array:
         if not hasattr(self, "_axial_lookup"):
@@ -529,23 +524,51 @@ class Lattice:
     def _check_hex_neighbours(self) -> None:
         # interior pixels (all six axial neighbours present) must sit at
         # exactly the pitch from each neighbour
-        table = self._axial_table()
-        k = (table.shape[0] - 1) // 2
-        shifts = ((1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1))
-        for i in range(self.n_pixels):
-            q, r = self.axial[i]
-            dists = []
-            interior = True
-            for dq, dr in shifts:
-                qq, rr = q + dq, r + dr
-                if abs(qq) > k or abs(rr) > k or table[qq + k, rr + k] < 0:
-                    interior = False
-                    break
-                j = table[qq + k, rr + k]
-                dists.append(np.linalg.norm(self.positions[j] - self.positions[i]))
-            if interior:
-                if not np.allclose(dists, self.pitch, rtol=1e-9, atol=0.0):
-                    raise ValueError("hexagonal neighbour distances broken")
+        shifts = np.array([(1, 0), (-1, 0), (0, 1), (0, -1), (1, -1), (-1, 1)])
+        nb = self.axial[:, None, :] + shifts[None, :, :]
+        nb = self.axial_index(nb[..., 0], nb[..., 1])
+        interior = np.all(nb >= 0, axis=1)
+        dists = np.linalg.norm(self.positions[nb[interior]]
+                               - self.positions[interior][:, None, :], axis=2)
+        if not np.allclose(dists, self.pitch, rtol=1e-9, atol=0.0):
+            raise ValueError("hexagonal neighbour distances broken")
+
+
+def _round_half_up(x: Array) -> Array:
+    f = np.floor(x)
+    return f + (x - f >= 0.5)
+
+
+def _round_half_down(x: Array) -> Array:
+    c = np.ceil(x)
+    return c - (c - x >= 0.5)
+
+
+def _cube_round(qf: Array, rf: Array) -> Tuple[Array, Array]:
+    """Nearest integer axial coordinates by cube rounding (Conway and
+    Sloane's nearest point of the A2 lattice): round q, r and s = -q - r,
+    and if the three do not sum to zero, step back the one rounding moved
+    furthest.  Ties are broken as for the point moved by (e/2 - e', -e,
+    e/2 + e') in (q, r, s) with e' << e, i.e. towards -y, then -x: q and s
+    round halves up and r down, and equal errors prefer r, q, s when
+    stepping down and s, q, r when stepping up.  That gives the lowest
+    (y, x), hence lowest-indexed, of the tied sites.
+    """
+    sf = -qf - rf
+    q = _round_half_up(qf)
+    r = _round_half_down(rf)
+    s = _round_half_up(sf)
+    eq, er, es = q - qf, r - rf, s - sf
+    excess = q + r + s                     # -1, 0 or 1
+    up = excess > 0.0
+    down = excess < 0.0
+    r_down = up & (er >= eq) & (er >= es)
+    q_down = up & ~r_down & (eq >= es)
+    q += down & (eq < es) & (eq <= er)
+    q -= q_down
+    r += down & (er < es) & (er < eq)
+    r -= r_down
+    return q.astype(np.int64), r.astype(np.int64)
 
 
 def make_lattice(kind: str, pitch: float, extents) -> Lattice:

@@ -171,9 +171,7 @@ class LinearSurface2D:
 
     def _interp_hex(self, p: np.ndarray) -> np.ndarray:
         lat = self.lattice
-        qf, rf = _fractional_axial(lat, p)
-        table = lat._axial_table()
-        k = (table.shape[0] - 1) // 2
+        qf, rf = lat.fractional_axial(p)
         vals = np.zeros(p.shape[0])
         qi = np.floor(qf).astype(np.int64)
         ri = np.floor(rf).astype(np.int64)
@@ -192,7 +190,7 @@ class LinearSurface2D:
         a2 = np.where(up, qi, qi + 1)
         b2 = np.where(up, ri + 1, ri)
         for w, a, b in ((w0, a0, b0), (w1, a1, b1), (w2, a2, b2)):
-            idx = _axial_lookup(table, k, a, b)
+            idx = lat.axial_index(a, b)
             # missing vertices only occur for points outside the hull (or on
             # its boundary within roundoff); their weight is zeroed here and
             # the caller masks them out
@@ -385,11 +383,6 @@ class CrsSurface2D:
     def extended(self, *point):
         return self.__call__(*point)
 
-    def profile_on_beam(self, beam_index: int):
-        """(stations -> height) profile of one beam in its line coordinate."""
-        sol = self.solutions[beam_index]
-        return sol.profile
-
     # ------------------------------------------------------------------
 
     def _idw(self, p: np.ndarray) -> np.ndarray:
@@ -436,7 +429,7 @@ class CrsSurface2D:
 
     def _cell_lines_hex(self, p):
         lat = self.lattice
-        qf, rf = _fractional_axial(lat, p)
+        qf, rf = lat.fractional_axial(p)
         qi = np.floor(qf).astype(np.int64)
         ri = np.floor(rf).astype(np.int64)
         u = qf - qi
@@ -526,21 +519,6 @@ def _pack_points(point, ndim: int) -> np.ndarray:
         return np.column_stack([np.ravel(x), np.ravel(y)])
     p = np.asarray(point[0], dtype=float)
     return np.atleast_2d(p)
-
-
-def _fractional_axial(lat: Lattice, p: np.ndarray):
-    ox, oy = lat.origin2d
-    x = p[:, 0] - ox
-    y = p[:, 1] - oy
-    rf = y / (_SQRT3 / 2.0 * lat.pitch)
-    qf = x / lat.pitch - 0.5 * rf
-    return qf, rf
-
-
-def _axial_lookup(table: np.ndarray, k: int, q: np.ndarray, r: np.ndarray):
-    valid = (np.abs(q) <= k) & (np.abs(r) <= k)
-    return np.where(valid, table[np.clip(q + k, 0, 2 * k),
-                                 np.clip(r + k, 0, 2 * k)], -1)
 
 
 def _hint_curve_1d(field: BumpField1D, x0: float, x1: float):

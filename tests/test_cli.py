@@ -283,12 +283,19 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_console_script_wiring(tmp_path):
+    import os
     import subprocess
     import sys
+
+    import crslab
     out = str(tmp_path / "o.csv")
+    # the child imports the same crslab as this process, installed or not
+    src = os.path.dirname(os.path.dirname(os.path.abspath(crslab.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         [sys.executable, "-m", "crslab", "strain-table", "--out", out],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "strain" in _read(out)
 

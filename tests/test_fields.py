@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crslab.fields import (
     BumpField1D,
     BumpField2D,
     bump1d,
     bump2d,
+    _cube_round,
     make_lattice,
     sample_pixels,
 )
@@ -250,18 +253,123 @@ def test_nearest_index_line_ties_to_lower():
     assert int(lat.nearest_index(np.array([-10.0]))[0]) == 0
 
 
-def test_nearest_index_matches_brute_force():
-    rng = np.random.default_rng(33)
-    for kind, ext in (("square", (90.0, 90.0)), ("hexagonal", 90.0)):
-        lat = make_lattice(kind, 30.0, ext)
-        u = rng.random((500, lat.uniforms_per_point()))
-        pts = lat.points_from_uniform(u)
-        idx = lat.nearest_index(pts)
-        d2 = np.sum((lat.positions[None, :, :] - pts[:, None, :]) ** 2, axis=2)
-        brute = np.argmin(d2, axis=1)   # argmin takes the first = lowest index
-        assert np.array_equal(idx, brute)
-        assert np.allclose(lat.nearest_distance(pts),
-                           np.sqrt(d2[np.arange(len(pts)), brute]))
+def _brute_nearest(lat, pts):
+    """Brute-force nearest pixel (argmin takes the first = lowest index)
+    and every pixel distance."""
+    d = np.sqrt(np.sum((lat.positions[None, :, :] - pts[:, None, :]) ** 2,
+                       axis=2))
+    return np.argmin(d, axis=1), d
+
+
+@st.composite
+def _lattice_and_points(draw):
+    kind = draw(st.sampled_from(["square", "hexagonal"]))
+    pitch = draw(st.floats(0.5, 50.0))
+    wavelength = pitch * draw(st.floats(1.0, 10.0))
+    if kind == "square":
+        x0, y0 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+        w = pitch * draw(st.floats(1.0, 8.0))
+        h = pitch * draw(st.floats(1.0, 8.0))
+        lat = make_lattice("square", pitch, ((x0, x0 + w), (y0, y0 + h)))
+    else:
+        lat = make_lattice("hexagonal", pitch,
+                           pitch * draw(st.floats(1.0, 5.99)))
+    unit = st.floats(0.0, 1.0)
+    # points inside the hull, and anywhere in its bounding box grown by
+    # one wavelength
+    u_in = draw(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=40))
+    u_box = draw(st.lists(st.tuples(unit, unit), min_size=1, max_size=40))
+    inner = lat.points_from_uniform(np.array(u_in)[:, :lat.uniforms_per_point()])
+    lo = lat.positions.min(axis=0) - wavelength
+    hi = lat.positions.max(axis=0) + wavelength
+    box = lo + (hi - lo) * np.array(u_box)
+    return lat, np.vstack([inner, box])
+
+
+@settings(deadline=None, max_examples=200)
+@given(_lattice_and_points())
+def test_nearest_index_matches_brute_force(case):
+    lat, pts = case
+    idx = lat.nearest_index(pts)
+    brute, d = _brute_nearest(lat, pts)
+    rows = np.arange(len(pts))
+    best = d[rows, brute]
+    # pixels within roundoff of the best distance are ties; the closed form
+    # decides those in lattice coordinates (exact ties are pinned by the
+    # tie tests below), so it must match the brute force everywhere else
+    tol = 1e-9 * lat.pitch
+    unique = np.sum(d <= best[:, None] + tol, axis=1) == 1
+    assert np.array_equal(idx[unique], brute[unique])
+    assert np.all(d[rows, idx] <= best + tol)
+    assert np.allclose(lat.nearest_distance(pts), best, rtol=0.0, atol=tol)
+
+
+def test_nearest_index_square_ties_to_lower():
+    lat = make_lattice("square", 30.0, ((0.0, 90.0), (0.0, 60.0)))  # 4 x 3
+    cases = {
+        (15.0, 0.0): 0,      # edge between columns 0 and 1
+        (45.0, 30.0): 5,     # edge between columns 1 and 2, row 1
+        (0.0, 45.0): 4,      # edge between rows 1 and 2
+        (15.0, 15.0): 0,     # corner of four cells
+        (75.0, 45.0): 6,     # corner of columns 2, 3 and rows 1, 2
+        (-10.0, 15.0): 0,    # outside the hull, on a row edge
+        (100.0, 45.0): 7,    # outside the hull, on a row edge
+        (45.0, -20.0): 1,    # outside the hull, on a column edge
+    }
+    pts = np.array(list(cases))
+    assert list(lat.nearest_index(pts)) == list(cases.values())
+    assert np.array_equal(lat.nearest_index(pts), _brute_nearest(lat, pts)[0])
+
+
+def test_nearest_index_hex_row_midpoints_tie_to_lower():
+    lat = make_lattice("hexagonal", 30.0, 90.0)
+    pos = lat.positions
+
+    def index_at(x, y):
+        return int(np.flatnonzero((pos[:, 0] == x) & (pos[:, 1] == y))[0])
+
+    # (15, 0) and (45, 0) lie halfway between two pixels of the middle row;
+    # rounding half to even would send (45, 0) to x = 60
+    assert int(lat.nearest_index([[15.0, 0.0]])[0]) == index_at(0.0, 0.0)
+    assert int(lat.nearest_index([[45.0, 0.0]])[0]) == index_at(30.0, 0.0)
+    assert int(lat.nearest_index([[-15.0, 0.0]])[0]) == index_at(-30.0, 0.0)
+    assert int(lat.nearest_index([[-45.0, 0.0]])[0]) == index_at(-60.0, 0.0)
+    # midpoints in the rows above and below
+    for row in (1.0, -1.0, 2.0, -2.0):
+        y = float(pos[np.argmin(np.abs(pos[:, 1] - row * 15.0 * math.sqrt(3.0))), 1])
+        xs = np.sort(pos[pos[:, 1] == y, 0])
+        for xa, xb in zip(xs[:-1], xs[1:]):
+            assert int(lat.nearest_index([[0.5 * (xa + xb), y]])[0]) \
+                == index_at(xa, y)
+
+
+def test_hex_rounding_ties_exact_in_axial_coordinates():
+    # every point of a 1/8 grid in axial coordinates, in and beyond the
+    # hull, against brute force over the pixels in exact integer
+    # arithmetic: squared distance is (dq^2 + dq dr + dr^2) pitch^2, and
+    # ties go to the lowest (r, q), i.e. the lowest (y, x)
+    for k in (1, 2, 3):
+        lat = make_lattice("hexagonal", 30.0, 30.0 * k)
+        g = np.arange(-8 * (k + 2), 8 * (k + 2) + 1)
+        q8, r8 = (a.ravel() for a in np.meshgrid(g, g))
+        got = lat.axial_index(*_cube_round(*lat._onto_hull_axial(q8 / 8.0, r8 / 8.0)))
+        dq = q8[:, None] - 8 * lat.axial[None, :, 0]
+        dr = r8[:, None] - 8 * lat.axial[None, :, 1]
+        key = (dq * dq + dq * dr + dr * dr) * (64 * k * k) \
+            + (lat.axial[None, :, 1] + k) * (2 * k + 1) + lat.axial[None, :, 0] + k
+        assert np.array_equal(got, np.argmin(key, axis=1))
+
+
+def test_nearest_index_hex_outside_hull():
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    # beyond the corner at (60, 0): the corner pixel, 60 mm away
+    assert int(lat.nearest_index([[120.0, 0.0]])[0]) == 11
+    assert np.allclose(lat.positions[11], [60.0, 0.0])
+    assert lat.nearest_distance([[120.0, 0.0]])[0] == pytest.approx(60.0)
+    # beyond the top edge, above a pixel and halfway between two
+    top = float(lat.positions[:, 1].max())
+    pts = np.array([[0.0, 200.0], [15.0, 200.0], [-15.0, 200.0]])
+    assert np.array_equal(lat.nearest_index(pts), _brute_nearest(lat, pts)[0])
 
 
 # ======================================================================
