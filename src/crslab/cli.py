@@ -75,17 +75,8 @@ def _choice(*options):
     return check
 
 
-def _pos_list(kind):
-    item = _pos(kind)
-    def check(value):
-        if not isinstance(value, list) or not value:
-            raise ConfigError(f"expected a non-empty list of {kind.__name__}s")
-        return [item(v) for v in value]
-    return check
-
-
-def _nonneg_list(kind):
-    item = _nonneg(kind)
+def _list_of(item_check, kind):
+    item = item_check(kind)
     def check(value):
         if not isinstance(value, list) or not value:
             raise ConfigError(f"expected a non-empty list of {kind.__name__}s")
@@ -114,7 +105,7 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[object, Callable]]] = {
     "distortion-sweep": {
         "lattice": ("line", _choice("line", "square", "hexagonal")),
         "models": (["pixel-only", "linear", "crs"], _model_list),
-        "d_over_l": ([0.1, 0.2, 0.3, 0.4, 0.5], _pos_list(float)),
+        "d_over_l": ([0.1, 0.2, 0.3, 0.4, 0.5], _list_of(_pos, float)),
         "wavelength_mm": (90.0, _pos(float)),
         "amplitude_mm": (1.0, _pos(float)),
         "n_position": (20000, _pos(int)),
@@ -160,8 +151,8 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[object, Callable]]] = {
         "log_every_ms": (5.0, _pos(float)),
     },
     "strain-table": {
-        "cell_mm": ([4.0, 1.0], _pos_list(float)),
-        "h_mm": ([0.0, 1.0, 2.0], _nonneg_list(float)),
+        "cell_mm": ([4.0, 1.0], _list_of(_pos, float)),
+        "h_mm": ([0.0, 1.0, 2.0], _list_of(_nonneg, float)),
     },
 }
 

@@ -15,6 +15,7 @@ header, UTF-8 and LF line endings.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -290,7 +291,7 @@ def run_session(trace: Sequence[FingertipSample],
     state = np.zeros(n_ch)
     commands = np.zeros(n_ch)
 
-    pending = list(trace)
+    pending = deque(trace)
     active: Optional[FrameLog] = None
     warm_hints: Dict[int, tuple] = {}
     next_probe = 0.0
@@ -304,7 +305,7 @@ def run_session(trace: Sequence[FingertipSample],
         t = step * dt
         # activate every sample whose delay has elapsed
         while pending and pending[0].t_ms + delay <= t:
-            sample = pending.pop(0)
+            sample = pending.popleft()
             frame = FrameLog(sample, t, processing_ms=delay)
             fld = render_target(sample)
             try:

@@ -7,7 +7,9 @@ ends at the first and last constraint, passes through every interior
 constraint, holds horizontal tangents at both ends (moveable clamps), and
 has total arc length span + excess_length.  Constraints are enforced by a
 quadratic penalty with an increasing weight schedule followed by a
-Gauss-Newton projection onto the constraint set.
+Gauss-Newton projection onto the constraint set.  Each penalty stage is a
+damped Gauss-Newton descent that evaluates only the objective at Armijo
+trial points and ends once a trial step's predicted decrease is roundoff.
 
 The solver is deterministic: no randomness, fixed iteration budgets, and
 an internal rescaling to unit span so that geometrically similar problems
@@ -21,7 +23,12 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
+
+
+# a predicted decrease below this fraction of |f| is roundoff in f
+_ROUNDOFF = 16.0 * np.finfo(float).eps
 
 
 class ElasticaError(ValueError):
@@ -101,12 +108,13 @@ class ElasticaSolution:
 # ----------------------------------------------------------------------
 
 def _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end):
-    """Constraint residuals and their Jacobian wrt the free angles.
+    """Constraint residuals, and a function that builds their Jacobian wrt
+    the free angles (so that callers needing only r skip it).
 
     Rows: far-end x gap, far-end y gap, then one vertical-intercept gap per
     interior constraint.  If the polyline transiently folds (x not strictly
     increasing) the vertical intercept is undefined, so those rows pin the
-    arc station closest to the constraint instead.
+    arc station closest to the constraint instead (an x and a y row each).
     """
     c = np.cos(theta)
     s = np.sin(theta)
@@ -116,43 +124,32 @@ def _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end):
     y[0] = 0.0
     np.cumsum(h * c, out=x[1:])
     np.cumsum(h * s, out=y[1:])
-    n_c = len(xs_c)
-    monotone = bool(np.all(np.diff(x) > 0.0))
-    rows = 2 + (n_c if monotone else 2 * n_c)
-    r = np.empty(rows)
-    jac = np.zeros((rows, m))
-    r[0] = x[m] - x_end
-    r[1] = y[m] - y_end
-    jac[0] = -h * s
-    jac[1] = h * c
-    k = 2
-    for xi, yi in zip(xs_c, ys_c):
+    # 0 = x[0] < xs_c < 1 <= m h, so every j below is a valid node index
+    monotone = bool((x[1:] > x[:-1]).all())
+    if monotone:
+        j = np.minimum(np.searchsorted(x, xs_c, side="right") - 1, m - 1)
+        t = np.tan(theta[j])
+        pins = y[j] + (xs_c - x[j]) * t - ys_c
+    else:
+        j = np.rint(xs_c / h).astype(int)
+        pins = np.column_stack([x[j] - xs_c, y[j] - ys_c]).ravel()
+    r = np.concatenate([[x[m] - x_end, y[m] - y_end], pins])
+
+    def jacobian():
+        # pin row k depends on the free angles before its station j[k]
+        sf, cf = s[1:m - 1], c[1:m - 1]
+        before = np.arange(1, m - 1)[None, :] < j[:, None]
         if monotone:
-            j = int(np.searchsorted(x, xi, side="right")) - 1
-            j = min(max(j, 0), m - 1)
-            t = math.tan(theta[j])
-            r[k] = y[j] + (xi - x[j]) * t - yi
-            if j > 0:
-                jac[k, :j] = h * (c[:j] + t * s[:j])
-            jac[k, j] = (xi - x[j]) * (1.0 + t * t)
-            k += 1
+            block = np.where(before, h * (cf + t[:, None] * sf), 0.0)
+            on = (j >= 1) & (j <= m - 2)
+            block[on, j[on] - 1] = ((xs_c - x[j]) * (1.0 + t * t))[on]
         else:
-            j = min(max(int(round(xi / h)), 0), m)
-            r[k] = x[j] - xi
-            r[k + 1] = y[j] - yi
-            jac[k, :j] = -h * s[:j]
-            jac[k + 1, :j] = h * c[:j]
-            k += 2
-    return r, jac[:, 1:m - 1], (x, y)
+            block = np.stack([np.where(before, -h * sf, 0.0),
+                              np.where(before, h * cf, 0.0)],
+                             axis=1).reshape(len(pins), m - 2)
+        return np.vstack([-h * sf, h * cf, block])
 
-
-def _bend_energy_grad(theta, h):
-    dth = np.diff(theta)
-    bend = float(dth @ dth) / h
-    grad = np.zeros(len(theta))
-    grad[:-1] -= 2.0 * dth / h
-    grad[1:] += 2.0 * dth / h
-    return bend, grad[1:len(theta) - 1]
+    return r, jacobian
 
 
 def _gn_stage(theta_free, m, h, xs_c, ys_c, x_end, y_end, weight, chol,
@@ -162,50 +159,61 @@ def _gn_stage(theta_free, m, h, xs_c, ys_c, x_end, y_end, weight, chol,
     The Hessian is approximated by H_bend + weight*J^T J; steps solve
     (H + w J^T J) d = -g through the banded Cholesky factor of H_bend and
     the Woodbury identity, so each step costs O(m * n_constraints).
-    Backtracking keeps the objective non-increasing.
+    Armijo backtracking keeps the objective non-increasing.  Trial points
+    evaluate only f; the gradient and Jacobian are built at accepted points
+    alone.  The stage ends once a trial step's predicted decrease
+    -alpha g.d is roundoff in f (at most _ROUNDOFF |f|): there the Armijo
+    test compares rounding noise, and further halvings only spend
+    evaluations (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.1).
     """
 
-    def full_eval(tf):
+    def evaluate(tf):
+        """f at tf, and a function that builds (g, J) there."""
         th = np.zeros(m)
         th[1:m - 1] = tf
-        bend, gbend = _bend_energy_grad(th, h)
-        r, jac, _ = _residual_vector(th, m, h, xs_c, ys_c, x_end, y_end)
-        f = bend + 0.5 * weight * float(r @ r)
-        g = gbend + weight * (jac.T @ r)
-        return f, g, r, jac
+        dth = th[1:] - th[:-1]
+        r, jacobian = _residual_vector(th, m, h, xs_c, ys_c, x_end, y_end)
 
-    trace = []
-    f, g, r, jac = full_eval(theta_free)
-    trace.append(f)
+        def grad():
+            jac = jacobian()
+            q = 2.0 * dth / h
+            return (q[:-1] - q[1:]) + weight * (jac.T @ r), jac
+
+        return float(dth @ dth) / h + 0.5 * weight * float(r @ r), grad
+
+    f, grad = evaluate(theta_free)
+    g, jac = grad()
+    trace = [f]
     for _ in range(max_steps):
         if np.max(np.abs(g)) < 1e-12:
             break
-        # Woodbury: (H + w J^T J)^{-1} g
-        v = cho_solve_banded((chol, False), g)
-        wt = cho_solve_banded((chol, False), jac.T)
+        # Woodbury: (H + w J^T J)^{-1} g, one banded solve for [g | J^T]
+        sol, _info = dpbtrs(chol, np.column_stack([g, jac.T]))
+        v, wt = sol[:, 0], sol[:, 1:]
         small = jac @ wt
-        small[np.diag_indices_from(small)] += 1.0 / weight
+        small.flat[::small.shape[0] + 1] += 1.0 / weight
         corr = wt @ np.linalg.solve(small, jac @ v)
         step = -(v - corr)
-        # Armijo backtracking on the penalised objective
         slope = float(g @ step)
         if slope >= 0.0:
             step = -g
             slope = float(g @ step)
+        # Armijo backtracking on the penalised objective
         alpha = 1.0
-        accepted = False
         for _bt in range(30):
+            if -alpha * slope <= _ROUNDOFF * abs(f):
+                return theta_free, trace
             cand = np.clip(theta_free + alpha * step, -1.45, 1.45)
-            fc, gc, rc, jc = full_eval(cand)
+            fc, grad = evaluate(cand)
             if fc <= f + 1e-4 * alpha * slope:
-                theta_free, f, g, r, jac = cand, fc, gc, rc, jc
+                theta_free, f = cand, fc
+                g, jac = grad()
                 trace.append(f)
-                accepted = True
                 break
             alpha *= 0.5
-        if not accepted:
+        else:
             break
-        if len(trace) > 1 and trace[-2] - trace[-1] <= 1e-15 * max(abs(trace[-1]), 1e-30):
+        if trace[-2] - trace[-1] <= 1e-15 * max(abs(trace[-1]), 1e-30):
             break
     return theta_free, trace
 
@@ -263,28 +271,26 @@ def _project(theta, m, h, xs_c, ys_c, x_end, y_end, steps):
     steps).  Returns the projected angles and the final max |residual|."""
     theta = theta.copy()
     for _ in range(steps):
-        r, jac, _ = _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end)
+        r, jacobian = _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end)
         if np.max(np.abs(r)) < 1e-13:
             break
+        jac = jacobian()
         jjt = jac @ jac.T
-        jjt[np.diag_indices_from(jjt)] += 1e-12 * max(np.trace(jjt), 1e-30)
+        jjt.flat[::len(r) + 1] += 1e-12 * max(np.trace(jjt), 1e-30)
         lam = np.linalg.solve(jjt, r)
         theta[1:m - 1] -= jac.T @ lam
-    r, _, _ = _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end)
+    r, _ = _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end)
     return theta, float(np.max(np.abs(r)))
 
 
 def _point_polyline_distance(points, nodes) -> np.ndarray:
     """Distance from each point to the polyline (min over segments)."""
     a = nodes[:-1]
-    b = nodes[1:]
-    ab = b - a
-    denom = np.einsum("ij,ij->i", ab, ab)
+    ab = nodes[1:] - a
+    denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
     out = np.empty(len(points))
     for i, p in enumerate(points):
-        ap = p[None, :] - a
-        t = np.clip(np.einsum("ij,ij->i", ap, ab) / np.maximum(denom, 1e-300),
-                    0.0, 1.0)
+        t = np.clip(np.einsum("ij,ij->i", p - a, ab) / denom, 0.0, 1.0)
         proj = a + t[:, None] * ab
         out[i] = np.min(np.hypot(p[0] - proj[:, 0], p[1] - proj[:, 1]))
     return out
@@ -347,10 +353,8 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
         init = None
     theta = _initial_angles(conn, m, total, init)
 
-    xs_c = conn[1:-1, 0]
-    ys_c = conn[1:-1, 1]
-    x_end = conn[-1, 0]
-    y_end = conn[-1, 1]
+    xs_c, ys_c = conn[1:-1, 0], conn[1:-1, 1]
+    x_end, y_end = conn[-1]
 
     stage_objectives: List[List[float]] = []
     n_iter = 0
@@ -386,22 +390,17 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
         if worst_fb < worst:
             theta, worst = theta_fb, worst_fb
 
-    c = np.cos(theta)
-    s = np.sin(theta)
-    x = np.concatenate([[0.0], np.cumsum(h * c)])
-    y = np.concatenate([[0.0], np.cumsum(h * s)])
+    x = np.concatenate([[0.0], np.cumsum(h * np.cos(theta))])
+    y = np.concatenate([[0.0], np.cumsum(h * np.sin(theta))])
     nodes_n = np.column_stack([x, y])
 
     dth = np.diff(theta)
     energy_n = float(dth @ dth) / h
 
-    interior = conn[1:-1]
-    if interior.shape[0] > 0:
-        dists = _point_polyline_distance(interior, nodes_n)
-        worst = float(np.max(dists))
-    else:
-        worst = 0.0
-    worst = max(worst, float(np.hypot(x[-1] - x_end, y[-1] - y_end)))
+    worst = float(np.hypot(x[-1] - x_end, y[-1] - y_end))
+    if len(xs_c):
+        worst = max(float(np.max(_point_polyline_distance(conn[1:-1], nodes_n))),
+                    worst)
 
     nodes = nodes_n * scale + origin
     sol = ElasticaSolution(nodes, h * scale, energy_n / scale, excess_length,

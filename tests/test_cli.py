@@ -67,6 +67,20 @@ def test_bad_config_value_exits_two(tmp_path, capsys):
     assert "resolution" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("setting, message", [
+    ("h_mm=[]", "key 'h_mm': expected a non-empty list of floats"),
+    ("cell_mm=4", "key 'cell_mm': expected a non-empty list of floats"),
+    ("h_mm=[-1.0]", "key 'h_mm': expected float >= 0"),
+    ("cell_mm=[0.0]", "key 'cell_mm': expected float > 0"),
+])
+def test_bad_list_value_message(tmp_path, capsys, setting, message):
+    rc = _run(["strain-table", "--out", str(tmp_path / "o.csv"),
+               "--set", setting])
+    assert rc == 2
+    assert capsys.readouterr().err == (
+        f"crslab strain-table: config error: {message}\n")
+
+
 def test_config_file_and_flag_layering(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({
