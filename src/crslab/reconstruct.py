@@ -74,14 +74,6 @@ class NearestProfile:
         return np.where(self.lattice.contains(p), vals, 0.0)
 
 
-def reconstruct_nearest(heights: PixelHeights, lattice: Lattice, point):
-    """Height of the pixel nearest to point (ties to the lower-indexed
-    pixel).  point may be a scalar/array in 1D or an (n, 2) array in 2D."""
-    out = NearestProfile(heights, lattice)(point)
-    out = np.asarray(out)
-    return out.item() if out.size == 1 else out
-
-
 # ======================================================================
 # linear connection
 # ======================================================================
@@ -150,13 +142,8 @@ class LinearSurface2D:
         return vals, inside
 
     def _interp_square(self, p: np.ndarray) -> np.ndarray:
-        lat = self.lattice
-        nx, ny = lat.grid_shape
-        ox, oy = lat.origin2d
-        fx = np.clip((p[:, 0] - ox) / lat.pitch, 0.0, nx - 1.0)
-        fy = np.clip((p[:, 1] - oy) / lat.pitch, 0.0, ny - 1.0)
-        ix = np.minimum(np.floor(fx).astype(np.int64), nx - 2)
-        iy = np.minimum(np.floor(fy).astype(np.int64), ny - 2)
+        fx, fy, ix, iy = _locate_square(self.lattice, p)
+        nx = self.lattice.grid_shape[0]
         u = fx - ix
         v = fy - iy
         h = self.heights
@@ -171,13 +158,10 @@ class LinearSurface2D:
 
     def _interp_hex(self, p: np.ndarray) -> np.ndarray:
         lat = self.lattice
-        qf, rf = lat.fractional_axial(p)
+        qf, rf, qi, ri, up = _locate_hex(lat, p)
         vals = np.zeros(p.shape[0])
-        qi = np.floor(qf).astype(np.int64)
-        ri = np.floor(rf).astype(np.int64)
         u = qf - qi
         v = rf - ri
-        up = (u + v) <= 1.0
         # upward triangle vertices (q, r), (q+1, r), (q, r+1); downward
         # triangle vertices (q+1, r+1), (q, r+1), (q+1, r)
         w0 = np.where(up, 1.0 - u - v, u + v - 1.0)
@@ -199,22 +183,17 @@ class LinearSurface2D:
         return vals
 
 
-def reconstruct_linear(heights: PixelHeights, lattice: Lattice, point):
-    """Linear-connection height at point; errors outside the pixel hull."""
-    if lattice.kind == "line":
-        out = LinearProfile1D(heights, lattice)(point)
-    else:
-        out = LinearSurface2D(heights, lattice)(point)
-    out = np.asarray(out)
-    return out.item() if out.size == 1 else out
-
-
 # ======================================================================
 # CRS reconstruction
 # ======================================================================
 
 class CrsProfile1D:
-    """The buckled-beam profile over a 1D lattice for one target field."""
+    """The buckled-beam profile over a 1D lattice for one target field.
+
+    Pixel heights sample the field; the end compression equals the arc
+    length excess of the target over the beam span, which is what the
+    boundary servo plan injects for this field.
+    """
 
     kind = "continuous"
 
@@ -222,17 +201,16 @@ class CrsProfile1D:
                  settings: Optional[ElasticaSettings] = None):
         if lattice.kind != "line":
             raise ValueError("CrsProfile1D needs a line lattice")
-        self.field = field
         self.lattice = lattice
         self.wavelength = field.wavelength
         x0, x1 = lattice.hull_bounds()
-        heights = sample_pixels(field, lattice)
+        self.heights = sample_pixels(field, lattice)
         excess = field.arc_excess(x0, x1)
-        constraints = np.column_stack([lattice.positions, heights])
+        constraints = np.column_stack([lattice.positions, self.heights])
+        n = max(2049, int(math.ceil((x1 - x0) / field.wavelength)) * 256 + 1)
+        xs = np.linspace(x0, x1, n)
         self.solution: ElasticaSolution = solve_elastica_1d(
-            constraints, excess, settings=settings,
-            initial=_hint_curve_1d(field, x0, x1))
-        self.heights = heights
+            constraints, excess, settings=settings, initial=(xs, field(xs)))
 
     def __call__(self, x):
         return self.solution.profile(x)
@@ -242,24 +220,14 @@ class CrsProfile1D:
         return np.where(self.lattice.contains(x), self.solution.profile(x), 0.0)
 
 
-def reconstruct_crs_1d(field: BumpField1D, lattice: Lattice,
-                       settings: Optional[ElasticaSettings] = None) -> CrsProfile1D:
-    """Displayed profile of the 1D CRS device for a single bump target.
-
-    Pixel heights sample the field; the end compression equals the arc
-    length excess of the target over the beam span, which is what the
-    boundary servo plan injects for this field.
-    """
-    return CrsProfile1D(field, lattice, settings)
-
-
 class CrsSurface2D:
-    """The beam-network surface over a 2D lattice for one target field.
+    """The beam-network surface over a 2D lattice.
 
-    Every pixel row of the lattice carries an independent beam; each beam is
-    solved as a 1D elastica in its own vertical plane with the excess of the
-    target restricted to that line.  Between beams, the surface is
-    inverse-distance-weighted (exponent 2) over the lines bounding the
+    Every pixel row of the lattice carries an independent beam, solved as a
+    1D elastica in its own vertical plane and end-compressed by its own arc
+    length excess.  The beams are pinned at the pixel heights: a pixel has
+    one height, shared by every beam through it.  Between beams, the surface
+    is inverse-distance-weighted (exponent 2) over the lines bounding the
     lattice cell containing the query point, which reproduces each beam
     exactly on its own line.  Outside the pixel hull the surface is zero.
     """
@@ -268,34 +236,17 @@ class CrsSurface2D:
 
     def __init__(self, field: BumpField2D, lattice: Lattice,
                  settings: Optional[ElasticaSettings] = None):
-        if lattice.kind not in ("square", "hexagonal"):
-            raise ValueError("CrsSurface2D needs a 2D lattice")
-        self.field = field
-        self.lattice = lattice
-        self.wavelength = field.wavelength
-        self.beams: List[BeamLine] = lattice.beam_lines()
-        self.solutions: List[ElasticaSolution] = []
-        for beam in self.beams:
-            restr = field.along_line(beam.origin, beam.direction)
-            heights = restr(beam.stations)
-            excess = restr.arc_excess(0.0, beam.span)
-            constraints = np.column_stack([beam.stations, heights])
-            hint = None
-            sup = restr.support()
-            if sup is not None and sup[1] > 0.0 and sup[0] < beam.span:
-                n_h = max(1025, int(math.ceil(beam.span / field.wavelength)) * 256 + 1)
-                hs = np.linspace(0.0, beam.span, n_h)
-                hint = (hs, restr(hs))
-            self.solutions.append(
-                solve_elastica_1d(constraints, excess, settings=settings,
-                                  initial=hint))
-        self._index_beams()
+        """Surface for a target field: the pixels sample the field, and each
+        beam's excess is that of the field restricted to the beam's line."""
+        excess = [field.along_line(b.origin, b.direction).arc_excess(0.0, b.span)
+                  for b in lattice.beam_lines()]
+        self._build(lattice, sample_pixels(field, lattice), excess, settings,
+                    hint_field=field)
 
     @classmethod
     def from_state(cls, lattice: Lattice, heights: PixelHeights,
                    beam_excess, settings: Optional[ElasticaSettings] = None,
                    hint_field: Optional[BumpField2D] = None,
-                   wavelength: Optional[float] = None,
                    hints: Optional[dict] = None,
                    strict: bool = True) -> "CrsSurface2D":
         """Surface from raw display state instead of a target field.
@@ -310,19 +261,29 @@ class CrsSurface2D:
                        transient states mid-motion)
         """
         obj = object.__new__(cls)
-        obj.field = hint_field
-        obj.lattice = lattice
-        obj.wavelength = wavelength if wavelength is not None else \
-            (hint_field.wavelength if hint_field is not None else None)
-        obj.beams = lattice.beam_lines()
-        obj.solutions = []
+        obj._build(lattice, heights, beam_excess, settings, hint_field,
+                   hints, strict)
+        return obj
+
+    def _build(self, lattice: Lattice, heights, beam_excess,
+               settings: Optional[ElasticaSettings],
+               hint_field: Optional[BumpField2D] = None,
+               hints: Optional[dict] = None, strict: bool = True) -> None:
+        """Solve every beam, pinned at its pixels' heights."""
+        if lattice.kind not in ("square", "hexagonal"):
+            raise ValueError("CrsSurface2D needs a 2D lattice")
         heights = np.asarray(heights, dtype=float)
+        if heights.shape != (lattice.n_pixels,):
+            raise ValueError("one height per pixel required")
+        self.lattice = lattice
+        self.wavelength = hint_field.wavelength if hint_field is not None else None
+        self.beams: List[BeamLine] = lattice.beam_lines()
         excess = np.asarray(beam_excess, dtype=float)
-        if excess.shape[0] != len(obj.beams):
+        if excess.shape != (len(self.beams),):
             raise ValueError("one excess per beam line required")
-        for i, beam in enumerate(obj.beams):
-            h = heights[beam.pixel_idx]
-            constraints = np.column_stack([beam.stations, h])
+        self.solutions: List[ElasticaSolution] = []
+        for i, beam in enumerate(self.beams):
+            constraints = np.column_stack([beam.stations, heights[beam.pixel_idx]])
             hint = hints.get(i) if hints else None
             if hint is None and hint_field is not None:
                 restr = hint_field.along_line(beam.origin, beam.direction)
@@ -339,32 +300,23 @@ class CrsSurface2D:
                 if strict:
                     raise
                 sol = err.solution
-            obj.solutions.append(sol)
-        obj._index_beams()
-        return obj
+            self.solutions.append(sol)
+        self._index_beams()
 
     # ------------------------------------------------------------------
 
     def _index_beams(self) -> None:
-        """Key -> beam lookup tables per direction family."""
-        lat = self.lattice
-        if lat.kind == "square":
-            nx, ny = lat.grid_shape
-            self._fam_table = (np.full(ny, -1, dtype=np.int64),
-                               np.full(nx, -1, dtype=np.int64))
-            self._fam_base = (0, 0)
-            for i, beam in enumerate(self.beams):
-                self._fam_table[beam.family][beam.key] = i
-        else:
-            keys = [np.array([b.key for b in self.beams if b.family == f],
-                             dtype=np.int64) for f in range(3)]
-            lo = [int(k.min()) if k.size else 0 for k in keys]
-            hi = [int(k.max()) if k.size else -1 for k in keys]
-            self._fam_table = tuple(
-                np.full(hi[f] - lo[f] + 1, -1, dtype=np.int64) for f in range(3))
-            self._fam_base = tuple(lo)
-            for i, beam in enumerate(self.beams):
-                self._fam_table[beam.family][beam.key - lo[beam.family]] = i
+        """Key -> beam lookup tables per direction family (a square lattice
+        leaves the third family empty)."""
+        keys = [np.array([b.key for b in self.beams if b.family == f],
+                         dtype=np.int64) for f in range(3)]
+        lo = [int(k.min()) if k.size else 0 for k in keys]
+        hi = [int(k.max()) if k.size else -1 for k in keys]
+        self._fam_table = tuple(
+            np.full(hi[f] - lo[f] + 1, -1, dtype=np.int64) for f in range(3))
+        self._fam_base = tuple(lo)
+        for i, beam in enumerate(self.beams):
+            self._fam_table[beam.family][beam.key - lo[beam.family]] = i
 
     def _beam_id(self, family: int, key: np.ndarray) -> np.ndarray:
         table = self._fam_table[family]
@@ -388,15 +340,48 @@ class CrsSurface2D:
     def _idw(self, p: np.ndarray) -> np.ndarray:
         lat = self.lattice
         if lat.kind == "square":
-            ids, dists, svals = self._cell_lines_square(p)
+            # bounding lines: rows iy, iy+1 (family 0) and columns ix, ix+1
+            # (family 1); distances are plain coordinate offsets
+            _, _, ix, iy = _locate_square(lat, p)
+            ids = np.column_stack([self._beam_id(0, iy), self._beam_id(0, iy + 1),
+                                   self._beam_id(1, ix), self._beam_id(1, ix + 1)])
+            ox, oy = lat.origin2d
+            yr0 = oy + iy * lat.pitch
+            xc0 = ox + ix * lat.pitch
+            dists = np.column_stack([np.abs(p[:, 1] - yr0),
+                                     np.abs(p[:, 1] - (yr0 + lat.pitch)),
+                                     np.abs(p[:, 0] - xc0),
+                                     np.abs(p[:, 0] - (xc0 + lat.pitch))])
         else:
-            ids, dists, svals = self._cell_lines_hex(p)
-        vals = self._line_values(ids, svals)
+            # bounding lines of the upward triangle: r = ri (family 0), q = qi
+            # (family 1), q + r = qi + ri + 1 (family 2); the downward
+            # triangle swaps the first two to r = ri + 1 and q = qi + 1
+            qf, rf, qi, ri, up = _locate_hex(lat, p)
+            key0 = np.where(up, ri, ri + 1)
+            key1 = np.where(up, qi, qi + 1)
+            key2 = qi + ri + 1
+            ids = np.column_stack([self._beam_id(0, key0), self._beam_id(1, key1),
+                                   self._beam_id(2, key2)])
+            # perpendicular distances: the axial fractions are affine in
+            # position, and one axial unit spans a row spacing of
+            # sqrt(3)/2 * d
+            row = _SQRT3 / 2.0 * lat.pitch
+            dists = np.column_stack([np.abs(rf - key0) * row,
+                                     np.abs(qf - key1) * row,
+                                     np.abs((qf + rf) - key2) * row])
+        # each bounding beam's own profile at the point's station on its line
+        vals = np.zeros(ids.shape)
+        for col in range(ids.shape[1]):
+            col_ids = ids[:, col]
+            for b in np.unique(col_ids[col_ids >= 0]):
+                sel = col_ids == b
+                beam = self.beams[b]
+                vals[sel, col] = self.solutions[b].profile(
+                    (p[sel] - beam.origin) @ beam.direction)
         tol = 1e-9 * lat.pitch
         hit = dists <= tol
         any_hit = np.any(hit, axis=1)
-        with np.errstate(divide="ignore"):
-            w = 1.0 / np.square(np.maximum(dists, tol))
+        w = 1.0 / np.square(np.maximum(dists, tol))
         w = np.where(ids >= 0, w, 0.0)
         num = np.sum(w * vals, axis=1)
         den = np.sum(w, axis=1)
@@ -405,84 +390,6 @@ class CrsSurface2D:
         exact = np.sum(np.where(hit & (ids >= 0), vals, 0.0), axis=1) \
             / np.maximum(n_hit, 1)
         return np.where(any_hit, exact, idw)
-
-    def _cell_lines_square(self, p):
-        lat = self.lattice
-        nx, ny = lat.grid_shape
-        ox, oy = lat.origin2d
-        fx = np.clip((p[:, 0] - ox) / lat.pitch, 0.0, nx - 1.0)
-        fy = np.clip((p[:, 1] - oy) / lat.pitch, 0.0, ny - 1.0)
-        ix = np.minimum(np.floor(fx).astype(np.int64), nx - 2)
-        iy = np.minimum(np.floor(fy).astype(np.int64), ny - 2)
-        # bounding lines: rows iy, iy+1 (family 0) and columns ix, ix+1
-        # (family 1); distances are plain coordinate offsets
-        ids = np.column_stack([self._beam_id(0, iy), self._beam_id(0, iy + 1),
-                               self._beam_id(1, ix), self._beam_id(1, ix + 1)])
-        yr0 = oy + iy * lat.pitch
-        xc0 = ox + ix * lat.pitch
-        dists = np.column_stack([np.abs(p[:, 1] - yr0),
-                                 np.abs(p[:, 1] - (yr0 + lat.pitch)),
-                                 np.abs(p[:, 0] - xc0),
-                                 np.abs(p[:, 0] - (xc0 + lat.pitch))])
-        svals = self._station_values(p, ids)
-        return ids, dists, svals
-
-    def _cell_lines_hex(self, p):
-        lat = self.lattice
-        qf, rf = lat.fractional_axial(p)
-        qi = np.floor(qf).astype(np.int64)
-        ri = np.floor(rf).astype(np.int64)
-        u = qf - qi
-        v = rf - ri
-        up = (u + v) <= 1.0
-        # bounding lines of the upward triangle: r = ri (family 0), q = qi
-        # (family 1), q + r = qi + ri + 1 (family 2); the downward triangle
-        # swaps the first two to r = ri + 1 and q = qi + 1
-        key0 = np.where(up, ri, ri + 1)
-        key1 = np.where(up, qi, qi + 1)
-        key2 = qi + ri + 1
-        ids = np.column_stack([self._beam_id(0, key0), self._beam_id(1, key1),
-                               self._beam_id(2, key2)])
-        # perpendicular distances: the axial fractions are affine in
-        # position, and one axial unit spans a row spacing of sqrt(3)/2 * d
-        row = _SQRT3 / 2.0 * lat.pitch
-        dists = np.column_stack([np.abs(rf - key0) * row,
-                                 np.abs(qf - key1) * row,
-                                 np.abs((qf + rf) - key2) * row])
-        svals = self._station_values(p, ids)
-        return ids, dists, svals
-
-    def _station_values(self, p, ids):
-        svals = np.zeros_like(ids, dtype=float)
-        for col in range(ids.shape[1]):
-            col_ids = ids[:, col]
-            for b in np.unique(col_ids[col_ids >= 0]):
-                sel = col_ids == b
-                beam = self.beams[b]
-                svals[sel, col] = (p[sel] - beam.origin) @ beam.direction
-        return svals
-
-    def _line_values(self, ids, svals):
-        vals = np.zeros_like(svals)
-        for col in range(ids.shape[1]):
-            col_ids = ids[:, col]
-            for b in np.unique(col_ids[col_ids >= 0]):
-                sel = col_ids == b
-                vals[sel, col] = self.solutions[b].profile(svals[sel, col])
-        return vals
-
-
-def reconstruct_crs_2d(field: BumpField2D, lattice: Lattice,
-                       settings: Optional[ElasticaSettings] = None) -> CrsSurface2D:
-    """Displayed surface of a 2D CRS device for a single bump target."""
-    return CrsSurface2D(field, lattice, settings)
-
-
-def crs_surface_from_state(lattice: Lattice, heights: PixelHeights,
-                           beam_excess, **kwargs) -> CrsSurface2D:
-    """Surface of the beam network for raw (heights, compressions) state,
-    bypassing the target field.  See CrsSurface2D.from_state."""
-    return CrsSurface2D.from_state(lattice, heights, beam_excess, **kwargs)
 
 
 # ======================================================================
@@ -521,7 +428,25 @@ def _pack_points(point, ndim: int) -> np.ndarray:
     return np.atleast_2d(p)
 
 
-def _hint_curve_1d(field: BumpField1D, x0: float, x1: float):
-    n = max(2049, int(math.ceil((x1 - x0) / field.wavelength)) * 256 + 1)
-    xs = np.linspace(x0, x1, n)
-    return (xs, field(xs))
+def _locate_square(lat: Lattice, p: np.ndarray):
+    """Square cell of each (n, 2) point: fractional grid coordinates (fx, fy),
+    clamped onto the grid, and the cell's lower-left grid index (ix, iy)."""
+    nx, ny = lat.grid_shape
+    ox, oy = lat.origin2d
+    fx = np.clip((p[:, 0] - ox) / lat.pitch, 0.0, nx - 1.0)
+    fy = np.clip((p[:, 1] - oy) / lat.pitch, 0.0, ny - 1.0)
+    ix = np.minimum(np.floor(fx).astype(np.int64), nx - 2)
+    iy = np.minimum(np.floor(fy).astype(np.int64), ny - 2)
+    return fx, fy, ix, iy
+
+
+def _locate_hex(lat: Lattice, p: np.ndarray):
+    """Unit triangle of each (n, 2) point: fractional axial coordinates
+    (qf, rf), the axial cell (qi, ri) below them, and whether the point is
+    in the cell's upward triangle, u + v <= 1 with (u, v) = (qf - qi,
+    rf - ri); the shared edge u + v = 1 belongs to the upward triangle."""
+    qf, rf = lat.fractional_axial(p)
+    qi = np.floor(qf).astype(np.int64)
+    ri = np.floor(rf).astype(np.int64)
+    up = ((qf - qi) + (rf - ri)) <= 1.0
+    return qf, rf, qi, ri, up

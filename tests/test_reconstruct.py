@@ -14,10 +14,6 @@ from crslab.reconstruct import (
     NearestProfile,
     ReconstructionModel,
     build_profile,
-    crs_surface_from_state,
-    reconstruct_crs_1d,
-    reconstruct_linear,
-    reconstruct_nearest,
 )
 
 
@@ -31,6 +27,7 @@ def test_nearest_profile_line():
     prof = NearestProfile(heights, lat)
     assert prof(31.0) == 4.0 or prof(31.0) == 1.0  # nearest is pixel 1
     assert prof(31.0) == 1.0
+    assert prof(29.0) == 1.0
     assert prof(46.0) == 4.0
     # tie on the cell boundary goes to the lower index
     assert prof(45.0) == 1.0
@@ -56,12 +53,6 @@ def test_nearest_height_count_validated():
         NearestProfile(np.zeros(4), lat)
 
 
-def test_reconstruct_nearest_wrapper():
-    lat = make_lattice("line", 30.0, 120.0)
-    heights = np.array([0.0, 2.0, 0.0, 0.0, 0.0])
-    assert reconstruct_nearest(heights, lat, 29.0) == 2.0
-
-
 # ======================================================================
 # linear interpolation
 # ======================================================================
@@ -76,6 +67,10 @@ def test_linear_profile_1d_values():
     with pytest.raises(ValueError, match="extrapolation not defined"):
         prof(121.0)
     assert prof.extended(np.array([121.0]))[0] == 0.0
+    # between two equal heights the profile is flat
+    plateau = LinearProfile1D(np.array([0.0, 6.0, 6.0, 0.0]),
+                              make_lattice("line", 30.0, 90.0))
+    assert plateau(45.0)[0] == pytest.approx(6.0)
 
 
 def test_linear_surface_square_centroid_mean():
@@ -131,12 +126,6 @@ def test_linear_surface_continuity_across_facets():
     assert np.allclose(above, below, atol=1e-5)
 
 
-def test_reconstruct_linear_wrapper():
-    lat = make_lattice("line", 30.0, 90.0)
-    heights = np.array([0.0, 6.0, 6.0, 0.0])
-    assert reconstruct_linear(heights, lat, 45.0) == pytest.approx(6.0)
-
-
 # ======================================================================
 # reinforced profiles
 # ======================================================================
@@ -144,7 +133,7 @@ def test_reconstruct_linear_wrapper():
 def test_crs_profile_1d_pins_and_overshoot():
     lat = make_lattice("line", 30.0, 120.0)
     fld = BumpField1D(peak=45.0, amplitude=4.0, wavelength=90.0)
-    prof = reconstruct_crs_1d(fld, lat)
+    prof = CrsProfile1D(fld, lat)
     # pinned at every pixel
     assert np.allclose(prof(lat.positions), prof.heights, atol=1e-4)
     # the skeleton rises above the tallest pixel when the target peak
@@ -176,39 +165,59 @@ def test_crs_surface_pins_every_pixel():
 
 
 def test_crs_surface_reproduces_beams_on_their_lines():
-    lat = make_lattice("square", 30.0, (90.0, 90.0))
-    fld = BumpField2D(peak=(40.0, 50.0), amplitude=2.0, wavelength=90.0)
-    surf = CrsSurface2D(fld, lat)
-    # query a point on a horizontal beam line, off every vertical line
-    for i, beam in enumerate(surf.beams):
-        if abs(beam.direction[0]) < 0.5:
-            continue  # skip the column family
-        s = 37.0
-        p = beam.origin + s * beam.direction
-        expect = surf.solutions[i].profile(np.array([s]))[0]
-        got = surf(p[0], p[1])
-        assert got == pytest.approx(expect, abs=1e-9)
-        break
+    cases = [(make_lattice("square", 30.0, (90.0, 90.0)),
+              BumpField2D(peak=(40.0, 50.0), amplitude=2.0, wavelength=90.0),
+              {0, 1}),
+             (make_lattice("hexagonal", 30.0, 60.0),
+              BumpField2D(peak=(7.0, -4.0), amplitude=3.0, wavelength=90.0),
+              {0, 1, 2})]
+    for lat, fld, families in cases:
+        surf = CrsSurface2D(fld, lat)
+        assert {beam.family for beam in surf.beams} == families
+        # every beam, at a station inside its first gap (off every other
+        # line): the surface is that beam's own profile
+        for i, beam in enumerate(surf.beams):
+            s = 0.37 * beam.stations[1]
+            p = beam.origin + s * beam.direction
+            expect = surf.solutions[i].profile(np.array([s]))[0]
+            got = surf(p[0], p[1])
+            assert got == pytest.approx(expect, abs=1e-9), beam.name
 
 
 def test_crs_surface_from_state_round_trip():
-    lat = make_lattice("hexagonal", 30.0, 60.0)
     fld = BumpField2D(peak=(10.0, 5.0), amplitude=2.0, wavelength=90.0)
-    direct = CrsSurface2D(fld, lat)
-    heights = sample_pixels(fld, lat)
-    excess = [sol.excess for sol in direct.solutions]
-    replayed = crs_surface_from_state(lat, heights, excess, hint_field=fld)
-    rng = np.random.default_rng(31)
-    pts = lat.points_from_uniform(rng.random((100, 3)))
-    a = direct(pts[:, 0], pts[:, 1])
-    b = replayed(pts[:, 0], pts[:, 1])
-    assert np.allclose(a, b, atol=1e-6)
+    for lat in (make_lattice("hexagonal", 30.0, 60.0),
+                make_lattice("square", 30.0, (90.0, 60.0))):
+        direct = CrsSurface2D(fld, lat)
+        heights = sample_pixels(fld, lat)
+        excess = [sol.excess for sol in direct.solutions]
+        replayed = CrsSurface2D.from_state(lat, heights, excess, hint_field=fld)
+        rng = np.random.default_rng(31)
+        pts = lat.points_from_uniform(
+            rng.random((100, lat.uniforms_per_point())))
+        a = direct(pts[:, 0], pts[:, 1])
+        b = replayed(pts[:, 0], pts[:, 1])
+        assert np.array_equal(a, b), lat.kind
 
 
 def test_crs_surface_from_state_validates_excess_count():
     lat = make_lattice("hexagonal", 30.0, 60.0)
     with pytest.raises(ValueError, match="one excess per beam"):
         CrsSurface2D.from_state(lat, np.zeros(lat.n_pixels), [0.0, 0.0])
+
+
+@pytest.mark.parametrize("n_heights", [5, 40])
+def test_crs_surface_from_state_validates_height_count(n_heights):
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    excess = np.zeros(len(lat.beam_lines()))
+    with pytest.raises(ValueError, match="one height per pixel"):
+        CrsSurface2D.from_state(lat, np.zeros(n_heights), excess)
+
+
+def test_crs_surface_from_state_needs_2d_lattice():
+    lat = make_lattice("line", 30.0, 120.0)
+    with pytest.raises(ValueError, match="needs a 2D lattice"):
+        CrsSurface2D.from_state(lat, np.zeros(lat.n_pixels), [0.0])
 
 
 # ======================================================================
