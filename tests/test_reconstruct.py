@@ -27,7 +27,6 @@ def test_nearest_profile_line():
     prof = NearestProfile(heights, lat)
     assert prof(31.0) == 4.0 or prof(31.0) == 1.0  # nearest is pixel 1
     assert prof(31.0) == 1.0
-    assert prof(29.0) == 1.0
     assert prof(46.0) == 4.0
     # tie on the cell boundary goes to the lower index
     assert prof(45.0) == 1.0
@@ -53,6 +52,13 @@ def test_nearest_height_count_validated():
         NearestProfile(np.zeros(4), lat)
 
 
+def test_reconstruct_nearest_wrapper():
+    # a point just inside pixel 1's cell reads pixel 1's height
+    lat = make_lattice("line", 30.0, 120.0)
+    heights = np.array([0.0, 2.0, 0.0, 0.0, 0.0])
+    assert NearestProfile(heights, lat)(29.0)[0] == 2.0
+
+
 # ======================================================================
 # linear interpolation
 # ======================================================================
@@ -67,10 +73,6 @@ def test_linear_profile_1d_values():
     with pytest.raises(ValueError, match="extrapolation not defined"):
         prof(121.0)
     assert prof.extended(np.array([121.0]))[0] == 0.0
-    # between two equal heights the profile is flat
-    plateau = LinearProfile1D(np.array([0.0, 6.0, 6.0, 0.0]),
-                              make_lattice("line", 30.0, 90.0))
-    assert plateau(45.0)[0] == pytest.approx(6.0)
 
 
 def test_linear_surface_square_centroid_mean():
@@ -124,6 +126,13 @@ def test_linear_surface_continuity_across_facets():
     above = surf(ts - eps, ts + eps)
     below = surf(ts + eps, ts - eps)
     assert np.allclose(above, below, atol=1e-5)
+
+
+def test_reconstruct_linear_wrapper():
+    # between two equal heights the profile is flat
+    lat = make_lattice("line", 30.0, 90.0)
+    heights = np.array([0.0, 6.0, 6.0, 0.0])
+    assert LinearProfile1D(heights, lat)(45.0)[0] == pytest.approx(6.0)
 
 
 # ======================================================================
