@@ -319,8 +319,6 @@ def run_session(trace: Sequence[FingertipSample],
             cmds, clamps = pixel_commands(fld, lat, config.servo)
             frame.clamps = clamps
             commands = np.concatenate([cmds, plan.ends.ravel()])
-            if sample.z_f <= 0.0:
-                frame.actuation_ms = None
             active = frame if sample.z_f > 0.0 else None
             log.frames.append(frame)
             next_probe = t

@@ -91,32 +91,26 @@ class PowerLawFit:
 # peak finding
 # ======================================================================
 
-def _golden_max(f, a: float, b: float, tol: float) -> float:
-    """Deterministic golden-section maximization on [a, b]."""
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - inv_phi * (b - a)
-    d = a + inv_phi * (b - a)
-    fc = f(c)
-    fd = f(d)
-    while (b - a) > tol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = f(d)
-    return 0.5 * (a + b)
+_STENCIL = np.array([0.0, -1.0, 1.0, -2.0, 2.0, -3.0, 3.0])  # centre first
+
+
+def _grid(axes: Sequence[np.ndarray]) -> List[np.ndarray]:
+    """Coordinates of the product of the axes, first axis fastest."""
+    return [g.ravel() for g in np.meshgrid(*axes[::-1], indexing="ij")[::-1]]
 
 
 def find_peak(profile, wavelength: Optional[float] = None) -> PeakResult:
     """Locate the maximum of a displayed profile.
 
     Vertex-based models (staircase, linear) resolve to the best pixel,
-    ties to the lowest-indexed one.  Continuous profiles are grid-scanned
-    at >= 512 points per wavelength (64 per wavelength per axis in 2D) and
-    refined by golden-section / coordinate descent to 1e-4 wavelengths.
+    ties to the lowest-indexed one.  Continuous profiles, 1D or 2D, take
+    the first maximum of a grid over the hull's bounding box (>= 512 points
+    per wavelength in 1D, 64 per wavelength per axis in 2D, x fastest) and
+    refine it by pattern search: each round moves to the best point of a
+    7-point (7x7) stencil clipped to the box, the current one on ties, and
+    halves the spacing, from half the grid step until below 2.5e-5
+    wavelengths.  The result is a peak to 1e-4 wavelengths: no point of
+    such a stencil of that spacing around it is higher beyond roundoff.
     Raises NoPeakError for an identically zero reconstruction.
     """
     lat: Lattice = profile.lattice
@@ -137,46 +131,29 @@ def find_peak(profile, wavelength: Optional[float] = None) -> PeakResult:
     if wl is None or wl <= 0.0:
         raise ValueError("continuous peak search needs a positive wavelength")
     if lat.ndim == 1:
-        x0, x1 = lat.hull_bounds()
-        n = max(int(math.ceil((x1 - x0) / wl * 512.0)), 64) + 1
-        xs = np.linspace(x0, x1, n)
-        ys = profile(xs)
-        if not np.any(ys > 0.0):
-            raise NoPeakError("no peak")
-        i = int(np.argmax(ys))
-        a = xs[max(i - 1, 0)]
-        b = xs[min(i + 1, n - 1)]
-        xr = _golden_max(lambda x: float(np.atleast_1d(profile(x))[0]),
-                         a, b, 1e-4 * wl)
-        return PeakResult(float(xr), float(np.atleast_1d(profile(xr))[0]),
-                          False)
-
-    if lat.kind == "square":
-        (x0, x1), (y0, y1) = lat.hull_bounds()
+        box, per_wl, least = [lat.hull_bounds()], 512.0, 64
+    elif lat.kind == "square":
+        box, per_wl, least = list(lat.hull_bounds()), 64.0, 8
     else:
         r = lat.hull_bounds()
-        x0, x1, y0, y1 = -r, r, -r, r
-    step = wl / 64.0
-    nx = max(int(math.ceil((x1 - x0) / step)), 8) + 1
-    ny = max(int(math.ceil((y1 - y0) / step)), 8) + 1
-    xs = np.linspace(x0, x1, nx)
-    ys = np.linspace(y0, y1, ny)
-    gx = np.tile(xs, ny)
-    gy = np.repeat(ys, nx)
-    vals = profile(gx, gy)
+        box, per_wl, least = [(-r, r), (-r, r)], 64.0, 8
+    axes = [np.linspace(a, b, max(int(math.ceil((b - a) / wl * per_wl)),
+                                  least) + 1) for a, b in box]
+    pts = _grid(axes)
+    vals = profile(*pts)
     if not np.any(vals > 0.0):
         raise NoPeakError("no peak")
-    i = int(np.argmax(vals))       # first occurrence: smallest y, then x
-    cx, cy = float(gx[i]), float(gy[i])
-    span = step
-    for _ in range(4):
-        cx = _golden_max(lambda x: float(profile(x, cy)[0]),
-                         cx - span, cx + span, 1e-4 * wl)
-        cy = _golden_max(lambda y: float(profile(cx, y)[0]),
-                         cy - span, cy + span, 1e-4 * wl)
-        span *= 0.35
-    return PeakResult(np.array([cx, cy]),
-                      float(profile(cx, cy)[0]), False)
+    i = int(np.argmax(vals))
+    spacing = 0.5 * max(float(ax[1] - ax[0]) for ax in axes)
+    while spacing >= 2.5e-5 * wl:
+        pts = _grid([np.clip(p[i] + spacing * _STENCIL, a, b)
+                     for p, (a, b) in zip(pts, box)])
+        vals = profile(*pts)
+        i = int(np.argmax(vals))
+        spacing *= 0.5
+    loc = [float(p[i]) for p in pts]
+    return PeakResult(loc[0] if lat.ndim == 1 else np.array(loc),
+                      float(vals[i]), False)
 
 
 # ======================================================================

@@ -234,10 +234,6 @@ class BeamLine:
     def span(self) -> float:
         return float(self.stations[-1])
 
-    def point_at(self, s: Array) -> Array:
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        return self.origin[None, :] + s[:, None] * self.direction[None, :]
-
 
 @dataclass(frozen=True, eq=False)
 class Lattice:

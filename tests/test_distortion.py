@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crslab.distortion import (
     DistortionEstimate,
@@ -17,8 +19,10 @@ from crslab.distortion import (
     shape_distortion,
     sweep_fits,
 )
-from crslab.fields import BumpField1D, make_lattice, sample_pixels
-from crslab.reconstruct import NearestProfile, ReconstructionModel, build_profile
+from crslab.fields import (BumpField1D, BumpField2D, make_lattice,
+                           sample_pixels)
+from crslab.reconstruct import (CrsProfile1D, CrsSurface2D, NearestProfile,
+                                ReconstructionModel, build_profile)
 
 PIX = ReconstructionModel("pixel-only")
 LIN = ReconstructionModel("linear")
@@ -99,6 +103,75 @@ def test_find_peak_continuous_2d_refines():
     prof = _Smooth2D(lat, 101.7, 66.2)
     res = find_peak(prof)
     assert np.linalg.norm(res.location - np.array([101.7, 66.2])) < 0.1
+
+
+class _RampToEnd:
+    """Rises linearly to the right hull end.  Beyond it the ramp is held
+    flat, as CrsProfile1D holds its end heights, or keeps rising."""
+
+    kind = "continuous"
+    wavelength = 90.0
+
+    def __init__(self, lattice, held):
+        self.lattice = lattice
+        self.held = held
+
+    def __call__(self, x):
+        x0, x1 = self.lattice.hull_bounds()
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        return 1.0 + ((np.minimum(x, x1) if self.held else x) - x0) / (x1 - x0)
+
+
+@pytest.mark.parametrize("held", [True, False])
+def test_find_peak_stays_inside_hull_at_rising_end(held):
+    # the peak is at the hull end; the stencil must not step beyond it,
+    # even where the profile keeps rising outside the display
+    lat = make_lattice("line", 30.0, 180.0)
+    res = find_peak(_RampToEnd(lat, held))
+    assert 0.0 <= res.location <= 180.0
+    assert 180.0 - res.location <= 1e-4 * 90.0
+
+
+_PEAK_LATTICES = {
+    "line": make_lattice("line", 30.0, 180.0),
+    "square": make_lattice("square", 30.0, (90.0, 90.0)),
+    "hexagonal": make_lattice("hexagonal", 30.0, 60.0),
+}
+
+
+def _scan_box(lat):
+    """The box find_peak scans: the hull's bounding box, which for a
+    hexagonal lattice is the square around its circumscribed circle."""
+    if lat.kind == "line":
+        return [lat.hull_bounds()]
+    if lat.kind == "square":
+        return list(lat.hull_bounds())
+    r = lat.hull_bounds()
+    return [(-r, r), (-r, r)]
+
+
+@pytest.mark.parametrize("kind", sorted(_PEAK_LATTICES))
+@settings(deadline=None, max_examples=25)
+@given(u=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+def test_crs_peak_beats_its_fine_stencil(kind, u):
+    # the peak contract: no point of a 7-point (7x7) stencil of spacing
+    # 1e-4 wavelengths around the result, clipped to the scan box, is
+    # higher beyond roundoff
+    lat = _PEAK_LATTICES[kind]
+    wl, amplitude = 90.0, 1.0
+    peak = lat.points_from_uniform([u[:lat.uniforms_per_point()]])[0]
+    if lat.ndim == 1:
+        prof = CrsProfile1D(BumpField1D(float(peak), amplitude, wl), lat)
+    else:
+        prof = CrsSurface2D(BumpField2D(tuple(peak), amplitude, wl), lat)
+    res = find_peak(prof, wl)
+    loc = np.atleast_1d(res.location)
+    value = float(np.atleast_1d(prof(*loc))[0])
+    assert res.height == pytest.approx(value, abs=1e-12 * amplitude)
+    offsets = 1e-4 * wl * np.arange(-3.0, 4.0)
+    axes = [np.clip(c + offsets, a, b) for c, (a, b) in zip(loc, _scan_box(lat))]
+    stencil = [g.ravel() for g in np.meshgrid(*axes)]
+    assert value >= float(np.max(prof(*stencil))) - 1e-12 * amplitude
 
 
 # ======================================================================

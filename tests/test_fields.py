@@ -408,14 +408,6 @@ def test_beam_lines_hex_three_families():
     assert len(set(names)) == 15
 
 
-def test_beam_line_point_at():
-    lat = make_lattice("square", 30.0, (60.0, 60.0))
-    b = lat.beam_lines()[0]
-    p = b.point_at(np.array([0.0, 15.0, 30.0]))
-    assert p.shape == (3, 2)
-    assert np.allclose(p[2] - p[0], 30.0 * b.direction)
-
-
 # ======================================================================
 # pixel sampling
 # ======================================================================
