@@ -313,31 +313,46 @@ def _shape_errors_1d(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
     return np.sqrt(num / den)
 
 
+def _whole_windows(lattice: Lattice, peaks: np.ndarray, wl: float) -> np.ndarray:
+    """True for peaks whose disc window of diameter wl lies wholly in the
+    hull.  The hull is convex, so a peak l/2 inside it puts every node
+    inside; the extra 1e-9 l absorbs the few ulps by which a node's rounded
+    coordinates and radius can exceed the exact ones."""
+    return lattice.contains(peaks, margin=0.5 * wl + 1e-9 * wl)
+
+
 def _shape_errors_2d(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
     n = peaks.shape[0]
     m = ppw + 1
     rel = np.linspace(-0.5 * wl, 0.5 * wl, m)
     dx = rel[1] - rel[0]
-    rx = np.tile(rel, m)
-    ry = np.repeat(rel, m)
-    rr = np.hypot(rx, ry)
+    rr = np.hypot(rel[None, :], rel[:, None]).ravel()
     # Only nodes in the disc and the hull contribute; scattering them back
     # onto the full grid keeps the Simpson sums bit-identical.
     disc = np.flatnonzero(rr <= 0.5 * wl)
-    rx, ry = rx[disc], ry[disc]
+    rx, ry = rel[disc % m], rel[disc // m]
     phi_disc = _raised_cosine(rr[disc], amplitude, wl)
     w1 = np.ones(m)
     w1[1:-1:2] = 4.0
     w1[2:-1:2] = 2.0
     w2 = (np.outer(w1, w1).ravel()) * (dx / 3.0) ** 2
+    err, phi2 = np.zeros(m * m), np.zeros(m * m)
+    phi2[disc] = phi_disc ** 2
+    den_disc = float(phi2 @ w2)
+    whole = _whole_windows(lattice, peaks, wl)
 
     out = np.empty(n)
     for i in range(n):
         px, py = float(peaks[i, 0]), float(peaks[i, 1])
         pts = np.column_stack([px + rx, py + ry])
-        inside = lattice.contains(pts)
-        pts = np.compress(inside, pts, axis=0)
-        phi = phi_disc[inside]
+        node, phi, den = disc, phi_disc, den_disc
+        if not whole[i]:
+            inside = lattice.contains(pts)
+            pts = np.compress(inside, pts, axis=0)
+            node, phi = disc[inside], phi_disc[inside]
+            err[disc], phi2[disc] = 0.0, 0.0
+            phi2[node] = phi ** 2
+            den = float(phi2 @ w2)
         if model.variant == "crs":
             surf = CrsSurface2D(BumpField2D((px, py), amplitude, wl), lattice,
                                 model.settings)
@@ -349,10 +364,8 @@ def _shape_errors_2d(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
                 psi = pix[lattice.nearest_index(pts)]
             else:
                 psi = LinearSurface2D(pix, lattice).extended(pts)
-        node = disc[inside]
-        err, phi2 = np.zeros(m * m), np.zeros(m * m)
-        err[node], phi2[node] = (phi - psi) ** 2, phi ** 2
-        out[i] = math.sqrt(float(err @ w2) / float(phi2 @ w2))
+        err[node] = (phi - psi) ** 2
+        out[i] = math.sqrt(float(err @ w2) / den)
     return out
 
 

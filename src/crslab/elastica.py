@@ -296,6 +296,36 @@ def _point_polyline_distance(points, nodes) -> np.ndarray:
     return out
 
 
+def normalize_beam(constraints: Sequence[Tuple[float, float]],
+                   excess_length: float):
+    """Validate one beam and rescale it to unit span.
+
+    Returns (conn, origin, scale, exn, flat): the constraints shifted so
+    the first sits at the origin and divided by the span (scale), the
+    excess over the span, and whether every pin is at height zero.  Raises
+    ValueError for malformed input and InfeasibleExcessError("infeasible
+    excess") when the arc budget cannot reach the constraint heights.
+    """
+    con = np.asarray(constraints, dtype=float)
+    if con.ndim != 2 or con.shape[1] != 2 or con.shape[0] < 2:
+        raise ValueError("need at least two (x, y) constraints")
+    if np.any(np.diff(con[:, 0]) <= 0.0):
+        raise ValueError("constraints must be sorted by strictly increasing x")
+    if not np.isfinite(excess_length) or excess_length < 0.0:
+        raise ValueError("excess_length must be finite and >= 0")
+
+    origin = con[0].copy()
+    scale = con[-1, 0] - con[0, 0]
+    conn = (con - origin) / scale
+    exn = excess_length / scale
+    total = 1.0 + exn
+    chords = float(np.sum(np.hypot(np.diff(conn[:, 0]), np.diff(conn[:, 1]))))
+    flat = bool(np.all(np.abs(conn[:, 1]) <= 1e-14))
+    if total < chords * (1.0 - 1e-12) or (not flat and total <= chords):
+        raise InfeasibleExcessError("infeasible excess")
+    return conn, origin, scale, exn, flat
+
+
 def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
                       excess_length: float,
                       settings: Optional[ElasticaSettings] = None,
@@ -315,27 +345,10 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     the best iterate attached) when tolerance is not met.
     """
     settings = settings or ElasticaSettings()
-    con = np.asarray(constraints, dtype=float)
-    if con.ndim != 2 or con.shape[1] != 2 or con.shape[0] < 2:
-        raise ValueError("need at least two (x, y) constraints")
-    if np.any(np.diff(con[:, 0]) <= 0.0):
-        raise ValueError("constraints must be sorted by strictly increasing x")
-    if not np.isfinite(excess_length) or excess_length < 0.0:
-        raise ValueError("excess_length must be finite and >= 0")
-
-    origin = con[0].copy()
-    span = con[-1, 0] - con[0, 0]
-    scale = span
-    conn = (con - origin) / scale
-    exn = excess_length / scale
+    conn, origin, scale, exn, flat = normalize_beam(constraints, excess_length)
     total = 1.0 + exn
 
-    chords = float(np.sum(np.hypot(np.diff(conn[:, 0]), np.diff(conn[:, 1]))))
-    flat = bool(np.all(np.abs(conn[:, 1]) <= 1e-14))
-    if total < chords * (1.0 - 1e-12) or (not flat and total <= chords):
-        raise InfeasibleExcessError("infeasible excess")
-
-    n_span = con.shape[0] - 1
+    n_span = conn.shape[0] - 1
     m = min(settings.nodes_per_span * n_span, settings.max_segments)
     m = max(m, 2 * settings.nodes_per_span)
     h = total / m

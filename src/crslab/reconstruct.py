@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .elastica import (ElasticaConvergenceError, ElasticaSettings,
-                       ElasticaSolution, solve_elastica_1d)
+                       ElasticaSolution, normalize_beam, solve_elastica_1d)
 from .fields import (BeamLine, BumpField1D, BumpField2D, Lattice, PixelHeights,
                      sample_pixels)
 
@@ -269,7 +269,8 @@ class CrsSurface2D:
                settings: Optional[ElasticaSettings],
                hint_field: Optional[BumpField2D] = None,
                hints: Optional[dict] = None, strict: bool = True) -> None:
-        """Solve every beam, pinned at its pixels' heights."""
+        """Check every beam's arc budget, then solve each beam pinned at its
+        pixels' heights."""
         if lattice.kind not in ("square", "hexagonal"):
             raise ValueError("CrsSurface2D needs a 2D lattice")
         heights = np.asarray(heights, dtype=float)
@@ -281,9 +282,13 @@ class CrsSurface2D:
         excess = np.asarray(beam_excess, dtype=float)
         if excess.shape != (len(self.beams),):
             raise ValueError("one excess per beam line required")
+        pins = [np.column_stack([beam.stations, heights[beam.pixel_idx]])
+                for beam in self.beams]
+        # an infeasible beam fails the whole build, so find it before solving
+        for constraints, ex in zip(pins, excess):
+            normalize_beam(constraints, float(ex))
         self.solutions: List[ElasticaSolution] = []
-        for i, beam in enumerate(self.beams):
-            constraints = np.column_stack([beam.stations, heights[beam.pixel_idx]])
+        for i, (beam, constraints) in enumerate(zip(self.beams, pins)):
             hint = hints.get(i) if hints else None
             if hint is None and hint_field is not None:
                 restr = hint_field.along_line(beam.origin, beam.direction)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crslab import distortion
 from crslab.distortion import (
     DistortionEstimate,
     NoPeakError,
@@ -19,10 +20,11 @@ from crslab.distortion import (
     shape_distortion,
     sweep_fits,
 )
-from crslab.fields import (BumpField1D, BumpField2D, make_lattice,
-                           sample_pixels)
-from crslab.reconstruct import (CrsProfile1D, CrsSurface2D, NearestProfile,
-                                ReconstructionModel, build_profile)
+from crslab.fields import (BumpField1D, BumpField2D, _raised_cosine,
+                           make_lattice, sample_pixels)
+from crslab.reconstruct import (CrsProfile1D, CrsSurface2D, LinearSurface2D,
+                                NearestProfile, ReconstructionModel,
+                                build_profile)
 
 PIX = ReconstructionModel("pixel-only")
 LIN = ReconstructionModel("linear")
@@ -299,6 +301,96 @@ def test_shape_pixel_below_linear_at_coarse_pitch_is_false():
     pix = shape_distortion(PIX, lat, 90.0, 100, 5)
     lin = shape_distortion(LIN, lat, 90.0, 100, 5)
     assert pix.value > lin.value
+
+
+def _window_nodes(peak, wl, ppw=256):
+    """The 2D kernel's window: grid nodes within l/2 of the peak."""
+    m = ppw + 1
+    rel = np.linspace(-0.5 * wl, 0.5 * wl, m)
+    rr = np.hypot(rel[None, :], rel[:, None]).ravel()
+    disc = np.flatnonzero(rr <= 0.5 * wl)
+    return np.column_stack([peak[0] + rel[disc % m], peak[1] + rel[disc // m]])
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["square", "hexagonal"]),
+       log_pitch=st.floats(-1.5, 1.5), d_over_l=st.floats(0.1, 0.5),
+       side=st.integers(0, 5), along=st.floats(-1.0, 1.0),
+       log_offset=st.floats(-13.0, -6.0), sign=st.sampled_from([-1.0, 1.0]))
+def test_whole_window_predicate_implies_every_node_inside(
+        kind, log_pitch, d_over_l, side, along, log_offset, sign):
+    # peaks within 1e-6 l of the hull shrunk by l/2, on either side; pitches
+    # below 1 mm are where contains' own tolerance is absolute (1e-9 mm)
+    pitch = 10.0 ** log_pitch
+    wl = pitch / d_over_l
+    offset = sign * 10.0 ** log_offset * wl   # > 0 moves the peak inward
+    if kind == "square":
+        lat = make_lattice("square", pitch, (12 * pitch, 10 * pitch))
+        (x0, x1), (y0, y1) = lat.hull_bounds()
+        lo, hi = [x0, y0][side % 2], [x1, y1][side % 2]
+        t = lo + 0.5 * wl + offset if side < 2 else hi - 0.5 * wl - offset
+        other = ([y0, y1], [x0, x1])[side % 2]
+        s = 0.5 * (other[0] + other[1]) + 0.5 * along * (
+            other[1] - other[0] - wl)
+        peak = np.array([t, s] if side % 2 == 0 else [s, t])
+    else:
+        lat = make_lattice("hexagonal", pitch, 6 * pitch)
+        apothem = lat.hull_bounds() * math.sqrt(3.0) / 2.0 - 0.5 * wl
+        ang = math.pi / 6.0 + side * math.pi / 3.0
+        normal = np.array([math.cos(ang), math.sin(ang)])
+        tangent = np.array([-normal[1], normal[0]])
+        peak = ((apothem - offset) * normal
+                + along * apothem / math.sqrt(3.0) * tangent)
+    if distortion._whole_windows(lat, peak[None, :], wl)[0]:
+        assert lat.contains(_window_nodes(peak, wl)).all()
+
+
+def _shape_errors_2d_per_draw(model, lattice, peaks, wl, amplitude, ppw):
+    """The 2D shape kernel as it was before whole-window draws skipped the
+    hull test: every draw tests every window node and scatters into fresh
+    full-grid arrays."""
+    m = ppw + 1
+    rel = np.linspace(-0.5 * wl, 0.5 * wl, m)
+    dx = rel[1] - rel[0]
+    rx, ry = np.tile(rel, m), np.repeat(rel, m)
+    rr = np.hypot(rx, ry)
+    disc = np.flatnonzero(rr <= 0.5 * wl)
+    rx, ry = rx[disc], ry[disc]
+    phi_disc = _raised_cosine(rr[disc], amplitude, wl)
+    w1 = np.ones(m)
+    w1[1:-1:2] = 4.0
+    w1[2:-1:2] = 2.0
+    w2 = np.outer(w1, w1).ravel() * (dx / 3.0) ** 2
+    out = []
+    for peak in peaks:
+        pts = np.column_stack([peak[0] + rx, peak[1] + ry])
+        inside = lattice.contains(pts)
+        pts, phi = np.compress(inside, pts, axis=0), phi_disc[inside]
+        pix = _raised_cosine(np.linalg.norm(lattice.positions - peak, axis=1),
+                             amplitude, wl)
+        if model.variant == "pixel-only":
+            psi = pix[lattice.nearest_index(pts)]
+        else:
+            psi = LinearSurface2D(pix, lattice).extended(pts)
+        err, phi2 = np.zeros(m * m), np.zeros(m * m)
+        err[disc[inside]], phi2[disc[inside]] = (phi - psi) ** 2, phi ** 2
+        out.append(math.sqrt(float(err @ w2) / float(phi2 @ w2)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagonal"])
+@pytest.mark.parametrize("region", ["interior", "full"])
+@pytest.mark.parametrize("model", [PIX, LIN], ids=["pixel-only", "linear"])
+def test_shape_2d_matches_per_draw_kernel(kind, region, model):
+    # whole-window draws skip the per-node hull test and reuse one buffer;
+    # the estimate must still be the per-draw kernel's, bit for bit
+    lat = lattice_for(kind, 0.25, SweepConfig())
+    for seed in (3, 4):
+        est = shape_distortion(model, lat, 90.0, 6, seed, region=region)
+        peaks = distortion._draw_peaks(lat, 90.0, 6, seed, "Ds", region)
+        errs = _shape_errors_2d_per_draw(model, lat, peaks, 90.0, 1.0, 256)
+        assert est.value == float(np.mean(errs))
+        assert est.standard_error == float(np.std(errs, ddof=1) / math.sqrt(6))
 
 
 # ======================================================================

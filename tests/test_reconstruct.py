@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+from crslab import reconstruct
+from crslab.elastica import InfeasibleExcessError, solve_elastica_1d
 from crslab.fields import BumpField1D, BumpField2D, bump1d, make_lattice, sample_pixels
 from crslab.reconstruct import (
     CrsProfile1D,
@@ -207,6 +209,46 @@ def test_crs_surface_from_state_round_trip():
         a = direct(pts[:, 0], pts[:, 1])
         b = replayed(pts[:, 0], pts[:, 1])
         assert np.array_equal(a, b), lat.kind
+
+
+def _counting_solver(monkeypatch):
+    calls = []
+
+    def solve(*args, **kwargs):
+        calls.append(args)
+        return solve_elastica_1d(*args, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "solve_elastica_1d", solve)
+    return calls
+
+
+def test_crs_surface_from_state_checks_every_beam_before_solving(monkeypatch):
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    fld = BumpField2D(peak=(10.0, 5.0), amplitude=2.0, wavelength=90.0)
+    heights = sample_pixels(fld, lat)
+    excess = np.array([sol.excess for sol in CrsSurface2D(fld, lat).solutions])
+    # the last beam with uneven pins gets no arc to spare: it cannot reach
+    # them, and that must surface before any beam is solved
+    bad = max(i for i, b in enumerate(lat.beam_lines())
+              if np.ptp(heights[b.pixel_idx]) > 0.0)
+    excess[bad] = 0.0
+    calls = _counting_solver(monkeypatch)
+    with pytest.raises(InfeasibleExcessError):
+        CrsSurface2D.from_state(lat, heights, excess)
+    assert calls == []
+
+
+def test_crs_surface_from_state_equals_per_beam_solves(monkeypatch):
+    lat = make_lattice("square", 30.0, (90.0, 60.0))
+    fld = BumpField2D(peak=(40.0, 25.0), amplitude=2.0, wavelength=90.0)
+    heights = sample_pixels(fld, lat)
+    excess = [sol.excess for sol in CrsSurface2D(fld, lat).solutions]
+    calls = _counting_solver(monkeypatch)
+    surf = CrsSurface2D.from_state(lat, heights, excess)
+    assert len(calls) == len(surf.beams)
+    for beam, ex, sol in zip(surf.beams, excess, surf.solutions):
+        pins = np.column_stack([beam.stations, heights[beam.pixel_idx]])
+        assert np.array_equal(sol.nodes, solve_elastica_1d(pins, ex).nodes)
 
 
 def test_crs_surface_from_state_validates_excess_count():
