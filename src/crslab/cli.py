@@ -157,6 +157,21 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[object, Callable]]] = {
 }
 
 
+def _read_json(path: str) -> dict:
+    """The JSON object a config file holds."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw = json.load(fh)
+    except OSError as err:
+        raise ConfigError(f"{path}: {err.strerror or err}")
+    except json.JSONDecodeError as err:
+        raise ConfigError(f"{path}: invalid JSON (line {err.lineno}: "
+                          f"{err.msg})")
+    if not isinstance(raw, dict):
+        raise ConfigError(f"{path}: top level must be a JSON object")
+    return raw
+
+
 def _load_config(command: str, path: Optional[str],
                  sets: Sequence[str], seed: Optional[int]) -> dict:
     """Effective config: schema defaults <- file <- --set pairs <- --seed."""
@@ -164,16 +179,7 @@ def _load_config(command: str, path: Optional[str],
     cfg = {key: default for key, (default, _) in schema.items()}
 
     if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as fh:
-                raw = json.load(fh)
-        except OSError as err:
-            raise ConfigError(f"{path}: {err.strerror or err}")
-        except json.JSONDecodeError as err:
-            raise ConfigError(f"{path}: invalid JSON (line {err.lineno}: "
-                              f"{err.msg})")
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{path}: top level must be a JSON object")
+        raw = _read_json(path)
         kind = raw.pop("experiment", command)
         if kind != command:
             raise ConfigError(f"{path}: experiment: config is for "
@@ -223,13 +229,17 @@ def _fmt(value) -> str:
     return format(float(value), ".12g")
 
 
+def _config_hash(cfg: dict) -> str:
+    """Short hash of an effective config, as CSV headers print it."""
+    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
+
+
 def _table(command: str, cfg: dict, columns: Sequence[str],
            rows: Sequence[Sequence[object]], seed: Optional[int]) -> str:
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
     lines = [f"# crslab {__version__}",
              f"# command: {command}",
-             f"# config: {digest}"]
+             f"# config: {_config_hash(cfg)}"]
     if seed is not None:
         lines.append(f"# seed: {seed}")
     lines.append(",".join(columns))
@@ -372,17 +382,7 @@ def cmd_strain_table(cfg: dict, out: str) -> int:
 
 
 def cmd_validate_config(path: str) -> int:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as err:
-        raise ConfigError(f"{path}: {err.strerror or err}")
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"{path}: invalid JSON (line {err.lineno}: "
-                          f"{err.msg})")
-    if not isinstance(raw, dict):
-        raise ConfigError(f"{path}: top level must be a JSON object")
-    kind = raw.get("experiment")
+    kind = _read_json(path).get("experiment")
     if kind is None:
         raise ConfigError(f"{path}: missing 'experiment' key (one of "
                           + ", ".join(sorted(_SCHEMAS)) + ")")
@@ -390,9 +390,7 @@ def cmd_validate_config(path: str) -> int:
         raise ConfigError(f"{path}: experiment: unknown kind {kind!r} "
                           "(one of " + ", ".join(sorted(_SCHEMAS)) + ")")
     cfg = _load_config(kind, path, (), None)
-    canon = json.dumps(cfg, sort_keys=True, separators=(",", ":"))
-    digest = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:12]
-    print(f"ok: {kind} config ({digest})")
+    print(f"ok: {kind} config ({_config_hash(cfg)})")
     return 0
 
 

@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .distortion import NoPeakError, find_peak
-from .elastica import ElasticaError, ElasticaSettings
+from .elastica import ElasticaError
 from .fields import BeamLine, BumpField2D, Lattice
 from .reconstruct import CrsSurface2D
 
@@ -43,13 +43,10 @@ class ServoSpec:
     speed_s_per_cm -- inverse speed (seconds of motion per cm of stroke);
                       the default 0.08 s/cm is 125 mm/s, which covers the
                       full 9 mm stroke in 72 ms
-    channels       -- optional channel count for validation; None derives
-                      it from the lattice in use
     """
 
     travel: float = 9.0
     speed_s_per_cm: float = 0.08
-    channels: Optional[int] = None
 
     def __post_init__(self):
         if self.travel <= 0.0 or self.speed_s_per_cm <= 0.0:
@@ -245,7 +242,6 @@ class SessionConfig:
     probe_every_ms: float = 6.0
     log_every_ms: float = 5.0
     settle_margin_ms: float = 250.0
-    elastica: Optional[ElasticaSettings] = None
 
     @property
     def processing_delay_ms(self) -> float:
@@ -276,9 +272,6 @@ def run_session(trace: Sequence[FingertipSample],
     for b in beams:
         channel_names.extend([f"c:{b.name}:a", f"c:{b.name}:b"])
     n_ch = len(channel_names)
-    if config.servo.channels is not None and config.servo.channels != n_ch:
-        raise ValueError(f"servo spec expects {config.servo.channels} "
-                         f"channels, lattice needs {n_ch}")
 
     log = SessionLog([], [], [], channel_names)
     if not trace:
@@ -339,8 +332,8 @@ def run_session(trace: Sequence[FingertipSample],
             target = render_target(active.sample)
             try:
                 surf = CrsSurface2D.from_state(
-                    lat, heights, comp, settings=config.elastica,
-                    hint_field=target, hints=warm_hints, strict=False)
+                    lat, heights, comp, hint_field=target, hints=warm_hints,
+                    strict=False)
             except ElasticaError:
                 continue
             warm_hints = {i: (sol.nodes[:, 0], sol.nodes[:, 1])

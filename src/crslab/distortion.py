@@ -25,13 +25,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.integrate import simpson
 
-from .elastica import ElasticaSettings
 from .fields import (BumpField1D, BumpField2D, Lattice, _raised_cosine,
                      make_lattice)
-from .reconstruct import (CrsProfile1D, CrsSurface2D, LinearSurface2D,
-                          ReconstructionModel, build_profile)
+from .reconstruct import ReconstructionModel, build_profile
 from .rng import uniform_block
 
 
@@ -257,115 +254,75 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     """Mean relative L2 shape error D_s over a one-wavelength window.
 
     Per sample, integrates (ideal - displayed)^2 and ideal^2 over the
-    window centred on the ideal peak (a disc of diameter l in 2D) with
-    composite Simpson quadrature at points_per_wavelength subintervals per
-    wavelength, both shapes taken as zero outside the display hull, and
-    averages the square-rooted ratio.
+    window centred on the ideal peak, both shapes taken as zero outside the
+    display hull, and averages the square-rooted ratio.  The displayed
+    shape is the model's ``build_profile`` surface for the sampled target,
+    so its pixel heights are the ``sample_pixels`` heights.  The window is
+    a segment of length l in 1D, integrated by composite Simpson at
+    points_per_wavelength subintervals per wavelength; in 2D it is the
+    disc of diameter l, integrated by the product Simpson rule over the
+    nodes of the square grid of that spacing that lie in the disc.
     """
     _check_region_policy(region, "nearest_capped")
     if points_per_wavelength < 256 or points_per_wavelength % 2:
         raise ValueError("need an even points_per_wavelength >= 256")
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Ds", region)
-    if lattice.ndim == 1:
-        vals = _shape_errors_1d(model, lattice, peaks, wavelength, amplitude,
-                                points_per_wavelength)
-    else:
-        vals = _shape_errors_2d(model, lattice, peaks, wavelength, amplitude,
-                                points_per_wavelength)
+    vals = _shape_errors(model, lattice, peaks, wavelength, amplitude,
+                         points_per_wavelength)
     return _estimate_from_errors(vals, "Ds", lattice, wavelength,
                                  model.variant, seed, region)
 
 
-def _shape_errors_1d(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
-    n = peaks.shape[0]
-    rel = np.linspace(-0.5 * wl, 0.5 * wl, ppw + 1)
-    dx = rel[1] - rel[0]
-    phi_rel = _raised_cosine(np.abs(rel), amplitude, wl)
-    pts = peaks[:, None] + rel[None, :]
-    inside = lattice.contains(pts.ravel()).reshape(n, ppw + 1)
-    phi = np.where(inside, phi_rel[None, :], 0.0)
-
-    if model.variant == "pixel-only":
-        idx = lattice.nearest_index(pts.ravel()).reshape(n, ppw + 1)
-        pixdist = np.abs(lattice.positions[idx] - peaks[:, None])
-        psi = _raised_cosine(pixdist, amplitude, wl)
-        psi = np.where(inside, psi, 0.0)
-    elif model.variant == "linear":
-        pix = lattice.positions
-        hmat = _raised_cosine(np.abs(pix[None, :] - peaks[:, None]),
-                              amplitude, wl)
-        seg = np.clip(np.searchsorted(pix, pts.ravel()) - 1,
-                      0, pix.size - 2).reshape(n, ppw + 1)
-        t = (pts - pix[seg]) / (pix[seg + 1] - pix[seg])
-        t = np.clip(t, 0.0, 1.0)
-        h_lo = np.take_along_axis(hmat, seg, axis=1)
-        h_hi = np.take_along_axis(hmat, seg + 1, axis=1)
-        psi = np.where(inside, h_lo * (1.0 - t) + h_hi * t, 0.0)
-    else:
-        psi = np.empty_like(phi)
-        for i in range(n):
-            fld = BumpField1D(float(peaks[i]), amplitude, wl)
-            prof = CrsProfile1D(fld, lattice, model.settings)
-            psi[i] = prof.extended(pts[i])
-
-    num = simpson((phi - psi) ** 2, dx=dx, axis=1)
-    den = simpson(phi ** 2, dx=dx, axis=1)
-    return np.sqrt(num / den)
-
-
 def _whole_windows(lattice: Lattice, peaks: np.ndarray, wl: float) -> np.ndarray:
-    """True for peaks whose disc window of diameter wl lies wholly in the
-    hull.  The hull is convex, so a peak l/2 inside it puts every node
-    inside; the extra 1e-9 l absorbs the few ulps by which a node's rounded
-    coordinates and radius can exceed the exact ones."""
+    """True for peaks whose window of diameter wl lies wholly in the hull.
+    The hull is convex, so a peak l/2 inside it puts every node inside; the
+    extra 1e-9 l absorbs the few ulps by which a node's rounded coordinates
+    and radius can exceed the exact ones."""
     return lattice.contains(peaks, margin=0.5 * wl + 1e-9 * wl)
 
 
-def _shape_errors_2d(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
-    n = peaks.shape[0]
+def _shape_errors(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
+    """Per-draw relative L2 shape errors over the m = ppw + 1 node window:
+    the m-node segment in 1D, the disc nodes of the m x m grid in 2D."""
     m = ppw + 1
     rel = np.linspace(-0.5 * wl, 0.5 * wl, m)
     dx = rel[1] - rel[0]
-    rr = np.hypot(rel[None, :], rel[:, None]).ravel()
-    # Only nodes in the disc and the hull contribute; scattering them back
-    # onto the full grid keeps the Simpson sums bit-identical.
-    disc = np.flatnonzero(rr <= 0.5 * wl)
-    rx, ry = rel[disc % m], rel[disc // m]
-    phi_disc = _raised_cosine(rr[disc], amplitude, wl)
     w1 = np.ones(m)
     w1[1:-1:2] = 4.0
     w1[2:-1:2] = 2.0
-    w2 = (np.outer(w1, w1).ravel()) * (dx / 3.0) ** 2
-    err, phi2 = np.zeros(m * m), np.zeros(m * m)
-    phi2[disc] = phi_disc ** 2
-    den_disc = float(phi2 @ w2)
+    if lattice.ndim == 1:
+        rr, w = np.abs(rel), w1 * (dx / 3.0)
+    else:
+        rr = np.hypot(rel[None, :], rel[:, None]).ravel()
+        w = np.outer(w1, w1).ravel() * (dx / 3.0) ** 2
+    # Only window nodes in the hull contribute; scattering them back onto
+    # the full grid keeps the Simpson sums order-stable.
+    win = np.flatnonzero(rr <= 0.5 * wl)
+    rx, ry = rel[win % m], rel[win // m]
+    phi_win = _raised_cosine(rr[win], amplitude, wl)
+    err, phi2 = np.zeros(rr.size), np.zeros(rr.size)
+    phi2[win] = phi_win ** 2
+    den_win = float(phi2 @ w)
     whole = _whole_windows(lattice, peaks, wl)
 
-    out = np.empty(n)
-    for i in range(n):
-        px, py = float(peaks[i, 0]), float(peaks[i, 1])
-        pts = np.column_stack([px + rx, py + ry])
-        node, phi, den = disc, phi_disc, den_disc
+    out = np.empty(peaks.shape[0])
+    for i, peak in enumerate(peaks):
+        if lattice.ndim == 1:
+            pts = peak + rx
+        else:
+            pts = np.column_stack([peak[0] + rx, peak[1] + ry])
+        node, phi, den = win, phi_win, den_win
         if not whole[i]:
             inside = lattice.contains(pts)
             pts = np.compress(inside, pts, axis=0)
-            node, phi = disc[inside], phi_disc[inside]
-            err[disc], phi2[disc] = 0.0, 0.0
+            node, phi = win[inside], phi_win[inside]
+            err[win], phi2[win] = 0.0, 0.0
             phi2[node] = phi ** 2
-            den = float(phi2 @ w2)
-        if model.variant == "crs":
-            surf = CrsSurface2D(BumpField2D((px, py), amplitude, wl), lattice,
-                                model.settings)
-            psi = surf.extended(pts)
-        else:
-            pix = _raised_cosine(np.linalg.norm(
-                lattice.positions - peaks[i][None, :], axis=1), amplitude, wl)
-            if model.variant == "pixel-only":
-                psi = pix[lattice.nearest_index(pts)]
-            else:
-                psi = LinearSurface2D(pix, lattice).extended(pts)
-        err[node] = (phi - psi) ** 2
-        out[i] = math.sqrt(float(err @ w2) / den)
+            den = float(phi2 @ w)
+        profile = build_profile(model, _field_for(lattice, peak, amplitude, wl),
+                                lattice)
+        err[node] = (phi - profile(pts)) ** 2
+        out[i] = math.sqrt(float(err @ w) / den)
     return out
 
 
@@ -417,7 +374,6 @@ class SweepConfig:
     include_interior: bool = True
     points_per_wavelength: int = 256
     no_peak_policy: str = "nearest_capped"
-    elastica: Optional[ElasticaSettings] = None
 
 
 def lattice_for(kind: str, d_over_l: float, config: SweepConfig) -> Lattice:
@@ -454,7 +410,7 @@ def distortion_sweep(models: Sequence[Union[str, ReconstructionModel]],
     interior-region variant doubles the rows.
     """
     config = config or SweepConfig()
-    models = [ReconstructionModel(m, config.elastica) if isinstance(m, str)
+    models = [ReconstructionModel(m) if isinstance(m, str)
               else m for m in models]
     regions = ("full", "interior") if config.include_interior else ("full",)
     rows: List[DistortionEstimate] = []

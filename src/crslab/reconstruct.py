@@ -33,20 +33,13 @@ _SQRT3 = math.sqrt(3.0)
 
 @dataclass(frozen=True)
 class ReconstructionModel:
-    """A display model selector.
-
-    variant  -- "pixel-only", "linear", or "crs"
-    settings -- elastica solver settings (crs only); None uses defaults
-    """
+    """A display model selector: "pixel-only", "linear", or "crs"."""
 
     variant: str
-    settings: Optional[ElasticaSettings] = None
 
     def __post_init__(self):
         if self.variant not in ("pixel-only", "linear", "crs"):
             raise ValueError(f"unknown model variant: {self.variant!r}")
-        if self.variant == "crs" and self.settings is None:
-            object.__setattr__(self, "settings", ElasticaSettings())
 
 
 # ======================================================================
@@ -234,19 +227,17 @@ class CrsSurface2D:
 
     kind = "continuous"
 
-    def __init__(self, field: BumpField2D, lattice: Lattice,
-                 settings: Optional[ElasticaSettings] = None):
+    def __init__(self, field: BumpField2D, lattice: Lattice):
         """Surface for a target field: the pixels sample the field, and each
         beam's excess is that of the field restricted to the beam's line."""
         excess = [field.along_line(b.origin, b.direction).arc_excess(0.0, b.span)
                   for b in lattice.beam_lines()]
-        self._build(lattice, sample_pixels(field, lattice), excess, settings,
+        self._build(lattice, sample_pixels(field, lattice), excess,
                     hint_field=field)
 
     @classmethod
     def from_state(cls, lattice: Lattice, heights: PixelHeights,
-                   beam_excess, settings: Optional[ElasticaSettings] = None,
-                   hint_field: Optional[BumpField2D] = None,
+                   beam_excess, hint_field: Optional[BumpField2D] = None,
                    hints: Optional[dict] = None,
                    strict: bool = True) -> "CrsSurface2D":
         """Surface from raw display state instead of a target field.
@@ -261,12 +252,10 @@ class CrsSurface2D:
                        transient states mid-motion)
         """
         obj = object.__new__(cls)
-        obj._build(lattice, heights, beam_excess, settings, hint_field,
-                   hints, strict)
+        obj._build(lattice, heights, beam_excess, hint_field, hints, strict)
         return obj
 
     def _build(self, lattice: Lattice, heights, beam_excess,
-               settings: Optional[ElasticaSettings],
                hint_field: Optional[BumpField2D] = None,
                hints: Optional[dict] = None, strict: bool = True) -> None:
         """Check every beam's arc budget, then solve each beam pinned at its
@@ -300,7 +289,7 @@ class CrsSurface2D:
                     hint = (hs, restr(hs))
             try:
                 sol = solve_elastica_1d(constraints, float(excess[i]),
-                                        settings=settings, initial=hint)
+                                        initial=hint)
             except ElasticaConvergenceError as err:
                 if strict:
                     raise
@@ -405,8 +394,8 @@ def build_profile(model: ReconstructionModel, field, lattice: Lattice):
     """Construct the displayed profile/surface of a model for one field."""
     if model.variant == "crs":
         if lattice.kind == "line":
-            return CrsProfile1D(field, lattice, model.settings)
-        return CrsSurface2D(field, lattice, model.settings)
+            return CrsProfile1D(field, lattice)
+        return CrsSurface2D(field, lattice)
     heights = sample_pixels(field, lattice)
     if model.variant == "pixel-only":
         return NearestProfile(heights, lattice)

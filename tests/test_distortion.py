@@ -304,16 +304,19 @@ def test_shape_pixel_below_linear_at_coarse_pitch_is_false():
 
 
 def _window_nodes(peak, wl, ppw=256):
-    """The 2D kernel's window: grid nodes within l/2 of the peak."""
+    """The shape kernel's window: the segment's nodes (1D), or the grid
+    nodes within l/2 of the peak (2D)."""
     m = ppw + 1
     rel = np.linspace(-0.5 * wl, 0.5 * wl, m)
+    if peak.size == 1:
+        return peak[0] + rel
     rr = np.hypot(rel[None, :], rel[:, None]).ravel()
     disc = np.flatnonzero(rr <= 0.5 * wl)
     return np.column_stack([peak[0] + rel[disc % m], peak[1] + rel[disc // m]])
 
 
 @settings(deadline=None, max_examples=60)
-@given(kind=st.sampled_from(["square", "hexagonal"]),
+@given(kind=st.sampled_from(["line", "square", "hexagonal"]),
        log_pitch=st.floats(-1.5, 1.5), d_over_l=st.floats(0.1, 0.5),
        side=st.integers(0, 5), along=st.floats(-1.0, 1.0),
        log_offset=st.floats(-13.0, -6.0), sign=st.sampled_from([-1.0, 1.0]))
@@ -324,7 +327,12 @@ def test_whole_window_predicate_implies_every_node_inside(
     pitch = 10.0 ** log_pitch
     wl = pitch / d_over_l
     offset = sign * 10.0 ** log_offset * wl   # > 0 moves the peak inward
-    if kind == "square":
+    if kind == "line":
+        lat = make_lattice("line", pitch, (0.0, 12 * pitch))
+        x0, x1 = lat.hull_bounds()
+        peak = np.array([x0 + 0.5 * wl + offset if side % 2 == 0
+                         else x1 - 0.5 * wl - offset])
+    elif kind == "square":
         lat = make_lattice("square", pitch, (12 * pitch, 10 * pitch))
         (x0, x1), (y0, y1) = lat.hull_bounds()
         lo, hi = [x0, y0][side % 2], [x1, y1][side % 2]
@@ -341,7 +349,8 @@ def test_whole_window_predicate_implies_every_node_inside(
         tangent = np.array([-normal[1], normal[0]])
         peak = ((apothem - offset) * normal
                 + along * apothem / math.sqrt(3.0) * tangent)
-    if distortion._whole_windows(lat, peak[None, :], wl)[0]:
+    peaks = peak if kind == "line" else peak[None, :]
+    if distortion._whole_windows(lat, peaks, wl)[0]:
         assert lat.contains(_window_nodes(peak, wl)).all()
 
 
@@ -366,8 +375,7 @@ def _shape_errors_2d_per_draw(model, lattice, peaks, wl, amplitude, ppw):
         pts = np.column_stack([peak[0] + rx, peak[1] + ry])
         inside = lattice.contains(pts)
         pts, phi = np.compress(inside, pts, axis=0), phi_disc[inside]
-        pix = _raised_cosine(np.linalg.norm(lattice.positions - peak, axis=1),
-                             amplitude, wl)
+        pix = sample_pixels(BumpField2D(tuple(peak), amplitude, wl), lattice)
         if model.variant == "pixel-only":
             psi = pix[lattice.nearest_index(pts)]
         else:
@@ -391,6 +399,55 @@ def test_shape_2d_matches_per_draw_kernel(kind, region, model):
         errs = _shape_errors_2d_per_draw(model, lat, peaks, 90.0, 1.0, 256)
         assert est.value == float(np.mean(errs))
         assert est.standard_error == float(np.std(errs, ddof=1) / math.sqrt(6))
+
+
+def _shape_errors_1d_reference(model, lattice, peaks, wl, amplitude, ppw):
+    """The 1D shape kernel as it was before the 1D and 2D kernels merged:
+    every draw's whole window at once, masked to the hull, with the
+    staircase and the hat functions written out and scipy's Simpson
+    rule."""
+    from scipy.integrate import simpson
+    n = peaks.shape[0]
+    rel = np.linspace(-0.5 * wl, 0.5 * wl, ppw + 1)
+    pts = peaks[:, None] + rel[None, :]
+    inside = lattice.contains(pts.ravel()).reshape(n, ppw + 1)
+    phi = np.where(inside, _raised_cosine(np.abs(rel), amplitude, wl), 0.0)
+    pix = lattice.positions
+    if model.variant == "pixel-only":
+        idx = lattice.nearest_index(pts.ravel()).reshape(n, ppw + 1)
+        psi = _raised_cosine(np.abs(pix[idx] - peaks[:, None]), amplitude, wl)
+    elif model.variant == "linear":
+        hmat = _raised_cosine(np.abs(pix[None, :] - peaks[:, None]),
+                              amplitude, wl)
+        seg = np.clip(np.searchsorted(pix, pts.ravel()) - 1,
+                      0, pix.size - 2).reshape(n, ppw + 1)
+        t = np.clip((pts - pix[seg]) / (pix[seg + 1] - pix[seg]), 0.0, 1.0)
+        psi = (np.take_along_axis(hmat, seg, axis=1) * (1.0 - t)
+               + np.take_along_axis(hmat, seg + 1, axis=1) * t)
+    else:
+        psi = np.array([CrsProfile1D(BumpField1D(float(x), amplitude, wl),
+                                     lattice).extended(row)
+                        for x, row in zip(peaks, pts)])
+    psi = np.where(inside, psi, 0.0)
+    dx = rel[1] - rel[0]
+    num = simpson((phi - psi) ** 2, dx=dx, axis=1)
+    den = simpson(phi ** 2, dx=dx, axis=1)
+    return np.sqrt(num / den)
+
+
+@pytest.mark.parametrize("region", ["interior", "full"])
+@pytest.mark.parametrize("model, n", [(PIX, 40), (LIN, 40), (CRS, 6)],
+                         ids=["pixel-only", "linear", "crs"])
+def test_shape_1d_matches_reference_kernel(region, model, n):
+    # the merged kernel takes the displayed shape from build_profile and
+    # sums the Simpson weights itself: per-draw errors move by ulps only
+    lat = lattice_for("line", 0.25, SweepConfig())
+    peaks = distortion._draw_peaks(lat, 90.0, n, 5, "Ds", region)
+    whole = distortion._whole_windows(lat, peaks, 90.0)
+    assert whole.any() and (region == "interior" or not whole.all())
+    got = distortion._shape_errors(model, lat, peaks, 90.0, 1.0, 256)
+    ref = _shape_errors_1d_reference(model, lat, peaks, 90.0, 1.0, 256)
+    np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 
 
 # ======================================================================
