@@ -187,8 +187,9 @@ def _gn_stage(theta_free, m, h, xs_c, ys_c, x_end, y_end, weight, chol,
     for _ in range(max_steps):
         if np.max(np.abs(g)) < 1e-12:
             break
-        # Woodbury: (H + w J^T J)^{-1} g, one banded solve for [g | J^T]
-        sol, _info = dpbtrs(chol, np.column_stack([g, jac.T]))
+        # Woodbury: (H + w J^T J)^{-1} g, one banded solve for [g | J^T],
+        # passed in the Fortran order that LAPACK solves in place
+        sol, _info = dpbtrs(chol, np.vstack([g, jac]).T, overwrite_b=1)
         v, wt = sol[:, 0], sol[:, 1:]
         small = jac @ wt
         small.flat[::small.shape[0] + 1] += 1.0 / weight
@@ -203,7 +204,7 @@ def _gn_stage(theta_free, m, h, xs_c, ys_c, x_end, y_end, weight, chol,
         for _bt in range(30):
             if -alpha * slope <= _ROUNDOFF * abs(f):
                 return theta_free, trace
-            cand = np.clip(theta_free + alpha * step, -1.45, 1.45)
+            cand = np.minimum(np.maximum(theta_free + alpha * step, -1.45), 1.45)
             fc, grad = evaluate(cand)
             if fc <= f + 1e-4 * alpha * slope:
                 theta_free, f = cand, fc

@@ -356,9 +356,10 @@ class Lattice:
         a binary search over the cell midpoints (line), the fractional grid
         coordinates rounded and clamped per axis (square), or the
         fractional axial coordinates projected onto the hull hexagon and
-        cube-rounded (hexagonal).  Points outside the hull get their
-        nearest pixel too: the hull's edges are full pixel rows and its
-        corners are pixels, so clamping or projecting keeps the answer.
+        rounded to the nearest corner of their unit rhombus (hexagonal).
+        Points outside the hull get their nearest pixel too: the hull's
+        edges are full pixel rows and its corners are pixels, so clamping
+        or projecting keeps the answer.
 
         Exact ties go to the lower-indexed pixel: square lattices round
         halves down per axis, hexagonal ones break ties as an infinitesimal
@@ -379,8 +380,11 @@ class Lattice:
             ix = np.clip(_round_half_down((p[:, 0] - ox) / self.pitch), 0, nx - 1)
             iy = np.clip(_round_half_down((p[:, 1] - oy) / self.pitch), 0, ny - 1)
             return (iy * nx + ix).astype(np.int64)
-        qf, rf = self._onto_hull_axial(*self.fractional_axial(p))
-        return self.axial_index(*_cube_round(qf, rf))
+        q, r = _hex_round(*self._onto_hull_axial(*self.fractional_axial(p)))
+        # a point in the hull rounds to a pixel, so no site needs a mask
+        table = self._axial_table()
+        k = (table.shape[0] - 1) // 2
+        return table.ravel().take((q + k) * (2 * k + 1) + r + k)
 
     def nearest_distance(self, points: Array) -> Array:
         idx = self.nearest_index(points)
@@ -530,40 +534,30 @@ class Lattice:
             raise ValueError("hexagonal neighbour distances broken")
 
 
-def _round_half_up(x: Array) -> Array:
-    f = np.floor(x)
-    return f + (x - f >= 0.5)
-
-
 def _round_half_down(x: Array) -> Array:
     c = np.ceil(x)
     return c - (c - x >= 0.5)
 
 
-def _cube_round(qf: Array, rf: Array) -> Tuple[Array, Array]:
-    """Nearest integer axial coordinates by cube rounding (Conway and
-    Sloane's nearest point of the A2 lattice): round q, r and s = -q - r,
-    and if the three do not sum to zero, step back the one rounding moved
-    furthest.  Ties are broken as for the point moved by (e/2 - e', -e,
-    e/2 + e') in (q, r, s) with e' << e, i.e. towards -y, then -x: q and s
-    round halves up and r down, and equal errors prefer r, q, s when
-    stepping down and s, q, r when stepping up.  That gives the lowest
-    (y, x), hence lowest-indexed, of the tied sites.
+def _hex_round(qf: Array, rf: Array) -> Tuple[Array, Array]:
+    """Nearest integer axial coordinates (Conway and Sloane's nearest point
+    of the A2 lattice): the nearest corner of the unit rhombus that holds
+    (qf, rf).  With (u, v) the point's offset from the rhombus corner
+    (0, 0), A = 2u + v and B = 2v + u, corner (1, 0) beats (0, 0) when
+    A > 1, (0, 1) beats (0, 0) when B > 1, (1, 1) beats (0, 1) when A > 2
+    and (1, 0) when B > 2, and (1, 0) beats (0, 1) when u > v.  Exact
+    ties go to the lowest (r, q), i.e. the lowest (y, x): every test on A
+    and B is strict, and u = v goes to (1, 0).
     """
-    sf = -qf - rf
-    q = _round_half_up(qf)
-    r = _round_half_down(rf)
-    s = _round_half_up(sf)
-    eq, er, es = q - qf, r - rf, s - sf
-    excess = q + r + s                     # -1, 0 or 1
-    up = excess > 0.0
-    down = excess < 0.0
-    r_down = up & (er >= eq) & (er >= es)
-    q_down = up & ~r_down & (eq >= es)
-    q += down & (eq < es) & (eq <= er)
-    q -= q_down
-    r += down & (er < es) & (er < eq)
-    r -= r_down
+    q = np.floor(qf)
+    r = np.floor(rf)
+    u = qf - q
+    v = rf - r
+    a = 2.0 * u + v
+    b = 2.0 * v + u
+    q_first = u >= v
+    q += (a > 1.0) & (q_first | (a > 2.0))
+    r += (b > 1.0) & (~q_first | (b > 2.0))
     return q.astype(np.int64), r.astype(np.int64)
 
 

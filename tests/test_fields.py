@@ -12,7 +12,7 @@ from crslab.fields import (
     BumpField2D,
     bump1d,
     bump2d,
-    _cube_round,
+    _hex_round,
     make_lattice,
     sample_pixels,
 )
@@ -352,12 +352,86 @@ def test_hex_rounding_ties_exact_in_axial_coordinates():
         lat = make_lattice("hexagonal", 30.0, 30.0 * k)
         g = np.arange(-8 * (k + 2), 8 * (k + 2) + 1)
         q8, r8 = (a.ravel() for a in np.meshgrid(g, g))
-        got = lat.axial_index(*_cube_round(*lat._onto_hull_axial(q8 / 8.0, r8 / 8.0)))
+        got = lat.axial_index(*_hex_round(*lat._onto_hull_axial(q8 / 8.0, r8 / 8.0)))
         dq = q8[:, None] - 8 * lat.axial[None, :, 0]
         dr = r8[:, None] - 8 * lat.axial[None, :, 1]
         key = (dq * dq + dq * dr + dr * dr) * (64 * k * k) \
             + (lat.axial[None, :, 1] + k) * (2 * k + 1) + lat.axial[None, :, 0] + k
         assert np.array_equal(got, np.argmin(key, axis=1))
+
+
+def _cube_round_reference(qf, rf):
+    """Nearest integer axial coordinates by cube rounding, as
+    `Lattice.nearest_index` computed them before the rhombus-corner rule:
+    round q, r and s = -q - r (q and s halves up, r halves down), and if
+    the three do not sum to zero, step back the one rounding moved
+    furthest, preferring r, q, s when stepping down and s, q, r when
+    stepping up."""
+    def half_up(x):
+        f = np.floor(x)
+        return f + (x - f >= 0.5)
+
+    sf = -qf - rf
+    q = half_up(qf)
+    c = np.ceil(rf)
+    r = c - (c - rf >= 0.5)
+    s = half_up(sf)
+    eq, er, es = q - qf, r - rf, s - sf
+    excess = q + r + s                     # -1, 0 or 1
+    up = excess > 0.0
+    down = excess < 0.0
+    r_down = up & (er >= eq) & (er >= es)
+    q_down = up & ~r_down & (eq >= es)
+    q += down & (eq < es) & (eq <= er)
+    q -= q_down
+    r += down & (er < es) & (er < eq)
+    r -= r_down
+    return q.astype(np.int64), r.astype(np.int64)
+
+
+def test_hex_rounding_matches_cube_rounding_on_axial_grid():
+    # a 1/64 grid in axial coordinates, in and beyond the hull, where every
+    # coordinate and every difference of them is exact in floating point
+    for k in (1, 2, 4):
+        lat = make_lattice("hexagonal", 30.0, 30.0 * k)
+        g = np.arange(-64 * (k + 2), 64 * (k + 2) + 1) / 64.0
+        qf, rf = (a.ravel() for a in np.meshgrid(g, g))
+        for q, r in ((qf, rf), lat._onto_hull_axial(qf, rf)):
+            got_q, got_r = _hex_round(q, r)
+            want_q, want_r = _cube_round_reference(q, r)
+            assert np.array_equal(got_q, want_q) and np.array_equal(got_r, want_r)
+
+
+@st.composite
+def _hex_lattice_and_window(draw):
+    pitch = draw(st.floats(0.5, 50.0))
+    lat = make_lattice("hexagonal", pitch, pitch * draw(st.integers(1, 6)))
+    wavelength = pitch * draw(st.floats(1.0, 10.0))
+    u = draw(st.tuples(*(st.floats(0.0, 1.0),) * 3))
+    peak = lat.points_from_uniform(np.array([u]))[0]
+    rel = np.linspace(-0.5 * wavelength, 0.5 * wavelength,
+                      draw(st.integers(2, 40)))
+    rx, ry = (a.ravel() for a in np.meshgrid(rel, rel))
+    return lat, np.column_stack([peak[0] + rx, peak[1] + ry])
+
+
+@settings(deadline=None, max_examples=200)
+@given(_hex_lattice_and_window())
+def test_nearest_index_hex_matches_cube_rounding_on_windows(case):
+    # the shape kernel's query pattern: a regular grid of offsets around a
+    # peak in the hull, reaching beyond it
+    lat, pts = case
+    got = lat.nearest_index(pts)
+    qf, rf = lat._onto_hull_axial(*lat.fractional_axial(pts))
+    want = lat.axial_index(*_cube_round_reference(qf, rf))
+    # within roundoff of a cell boundary the two roundings may pick either
+    # of the tied pixels; everywhere else they must agree
+    _, d = _brute_nearest(lat, pts)
+    rows = np.arange(len(pts))
+    tol = 1e-9 * lat.pitch
+    tied = np.sum(d <= d.min(axis=1)[:, None] + tol, axis=1) > 1
+    assert np.array_equal(got[~tied], want[~tied])
+    assert np.all(np.abs(d[rows, got] - d[rows, want]) <= tol)
 
 
 def test_nearest_index_hex_outside_hull():
