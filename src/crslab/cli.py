@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from .control import (ServoSpec, SessionConfig, read_trace, run_session)
 from .distortion import NoPeakError, SweepConfig, distortion_sweep, sweep_fits
-from .elastica import ElasticaError, ElasticaSettings
+from .elastica import ElasticaError
 from .fields import BumpField1D, make_lattice
 from .mechanics import PhaseDiagram, membrane_strain, phase_diagram
 from .reconstruct import CrsProfile1D
@@ -323,8 +323,7 @@ def cmd_elastica_demo(cfg: dict, out: str) -> int:
     lattice = make_lattice("line", pitch, (-half, half))
     field = BumpField1D(cfg["peak_offset_mm"], cfg["amplitude_mm"],
                         cfg["wavelength_mm"])
-    settings = ElasticaSettings(nodes_per_span=cfg["nodes_per_span"])
-    profile = CrsProfile1D(field, lattice, settings)
+    profile = CrsProfile1D(field, lattice, cfg["nodes_per_span"])
     xs = np.linspace(-half, half, cfg["points"])
     psi = profile(xs)
     rows = [(x, y) for x, y in zip(xs, psi)]

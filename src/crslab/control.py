@@ -29,6 +29,9 @@ from .reconstruct import CrsSurface2D
 _TRACE_HEADER = "t_ms,x_f_mm,y_f_mm,z_f_mm"
 _LOG_HEADER = "t_ms,channel,commanded_mm,actual_mm"
 _WAVELENGTH = 90.0          # rendered bump diameter in mm
+_DEVICE_DELAY_MS = 75.0     # processing budget of a device-side frame
+_VR_DELAY_MS = 160.0        # processing budget of a VR-originated frame
+_SETTLE_MARGIN_MS = 250.0   # simulated time past the last full stroke
 
 
 # ======================================================================
@@ -226,26 +229,25 @@ def step_servos(state: np.ndarray, commands: np.ndarray, dt_ms: float,
 class SessionConfig:
     """Knobs of a simulated session.
 
-    vr_originated switches the processing delay from the device budget to
-    the full pipeline budget.  Peak probes rebuild the displayed surface
-    from the actual servo state every probe_every_ms and report, per frame,
-    the time until the displayed peak comes within pitch/4 of the command.
+    vr_originated switches the processing delay from the 75 ms device
+    budget to the 160 ms full pipeline budget.  The session runs until
+    250 ms after the last sample's delay and a full servo stroke have
+    elapsed.  Peak probes rebuild the displayed surface from the actual
+    servo state every probe_every_ms and report, per frame, the time until
+    the displayed peak comes within pitch/4 of the command.
     """
 
     lattice: Lattice
     servo: ServoSpec = ServoSpec()
     dt_ms: float = 1.0
-    device_delay_ms: float = 75.0
-    vr_delay_ms: float = 160.0
     vr_originated: bool = False
     track_peaks: bool = True
     probe_every_ms: float = 6.0
     log_every_ms: float = 5.0
-    settle_margin_ms: float = 250.0
 
     @property
     def processing_delay_ms(self) -> float:
-        return self.vr_delay_ms if self.vr_originated else self.device_delay_ms
+        return _VR_DELAY_MS if self.vr_originated else _DEVICE_DELAY_MS
 
 
 def run_session(trace: Sequence[FingertipSample],
@@ -280,7 +282,7 @@ def run_session(trace: Sequence[FingertipSample],
     delay = config.processing_delay_ms
     dt = config.dt_ms
     t_end = times[-1] + delay + config.servo.full_travel_ms \
-        + config.settle_margin_ms
+        + _SETTLE_MARGIN_MS
     state = np.zeros(n_ch)
     commands = np.zeros(n_ch)
 

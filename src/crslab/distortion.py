@@ -108,7 +108,9 @@ def find_peak(profile, wavelength: Optional[float] = None) -> PeakResult:
     halves the spacing, from half the grid step until below 2.5e-5
     wavelengths.  The result is a peak to 1e-4 wavelengths: no point of
     such a stencil of that spacing around it is higher beyond roundoff.
-    Raises NoPeakError for an identically zero reconstruction.
+    Continuous profiles need the target's wavelength, which sets these
+    resolutions; vertex-based models ignore it.  Raises NoPeakError for an
+    identically zero reconstruction.
     """
     lat: Lattice = profile.lattice
     if profile.kind in ("staircase", "linear"):
@@ -124,8 +126,7 @@ def find_peak(profile, wavelength: Optional[float] = None) -> PeakResult:
         plateau = profile.kind == "staircase" or int(np.sum(h == top)) > 1
         return PeakResult(loc, top, plateau)
 
-    wl = wavelength if wavelength is not None else getattr(profile, "wavelength")
-    if wl is None or wl <= 0.0:
+    if wavelength is None or wavelength <= 0.0:
         raise ValueError("continuous peak search needs a positive wavelength")
     if lat.ndim == 1:
         box, per_wl, least = [lat.hull_bounds()], 512.0, 64
@@ -134,7 +135,7 @@ def find_peak(profile, wavelength: Optional[float] = None) -> PeakResult:
     else:
         r = lat.hull_bounds()
         box, per_wl, least = [(-r, r), (-r, r)], 64.0, 8
-    axes = [np.linspace(a, b, max(int(math.ceil((b - a) / wl * per_wl)),
+    axes = [np.linspace(a, b, max(int(math.ceil((b - a) / wavelength * per_wl)),
                                   least) + 1) for a, b in box]
     pts = _grid(axes)
     vals = profile(*pts)
@@ -142,7 +143,7 @@ def find_peak(profile, wavelength: Optional[float] = None) -> PeakResult:
         raise NoPeakError("no peak")
     i = int(np.argmax(vals))
     spacing = 0.5 * max(float(ax[1] - ax[0]) for ax in axes)
-    while spacing >= 2.5e-5 * wl:
+    while spacing >= 2.5e-5 * wavelength:
         pts = _grid([np.clip(p[i] + spacing * _STENCIL, a, b)
                      for p, (a, b) in zip(pts, box)])
         vals = profile(*pts)

@@ -11,14 +11,17 @@ Gauss-Newton projection onto the constraint set.  Each penalty stage is a
 damped Gauss-Newton descent that evaluates only the objective at Armijo
 trial points and ends once a trial step's predicted decrease is roundoff.
 
-The solver is deterministic: no randomness, fixed iteration budgets, and
-an internal rescaling to unit span so that geometrically similar problems
-produce identical iterates.
+The solver is deterministic: no randomness, a fixed schedule, and an
+internal rescaling to unit span so that geometrically similar problems
+produce identical iterates.  The schedule is three penalty stages of
+weight 1e3, 1e5 and 1e7, at most 60 Gauss-Newton steps each, then 6
+projection steps (12 from the fallback seed).  A solve converges when its
+worst violation is within 1e-6 of the span.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -29,6 +32,11 @@ from scipy.linalg.lapack import dpbtrs
 
 # a predicted decrease below this fraction of |f| is roundoff in f
 _ROUNDOFF = 16.0 * np.finfo(float).eps
+_TOL = 1e-6                           # worst violation, relative to span
+_MAX_ITER = 60                        # Gauss-Newton steps per penalty stage
+_PENALTY_STAGES = (1e3, 1e5, 1e7)
+_MAX_SEGMENTS = 2400
+_PROJECTION_STEPS = 6
 
 
 class ElasticaError(ValueError):
@@ -48,25 +56,6 @@ class ElasticaConvergenceError(ElasticaError):
         super().__init__(message)
         self.solution = solution
         self.residual = solution.residual
-
-
-@dataclass(frozen=True)
-class ElasticaSettings:
-    """Solver knobs.  Defaults satisfy the resolution contract of at least
-    50 nodes per inter-pixel span."""
-
-    nodes_per_span: int = 64
-    tol: float = 1e-6                  # worst violation, relative to span
-    max_iter: int = 60                 # Gauss-Newton steps per penalty stage
-    penalty_stages: Tuple[float, ...] = (1e3, 1e5, 1e7)
-    max_segments: int = 2400
-    projection_steps: int = 6
-
-    def __post_init__(self):
-        if self.nodes_per_span < 50:
-            raise ValueError("nodes_per_span must be at least 50")
-        if self.tol <= 0.0:
-            raise ValueError("tol must be positive")
 
 
 @dataclass
@@ -329,7 +318,7 @@ def normalize_beam(constraints: Sequence[Tuple[float, float]],
 
 def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
                       excess_length: float,
-                      settings: Optional[ElasticaSettings] = None,
+                      nodes_per_span: int = 64,
                       initial: Optional[Tuple[np.ndarray, np.ndarray]] = None,
                       ) -> ElasticaSolution:
     """Minimum-bending-energy inextensible curve through the constraints.
@@ -337,6 +326,9 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     constraints    -- (x, y) pixel points sorted by x, at least two; the
                       first and last are the beam ends (clamped horizontal)
     excess_length  -- arc length beyond the end-to-end span (mm, >= 0)
+    nodes_per_span -- segments per gap between constraints, >= 50; the
+                      beam gets min(nodes_per_span * gaps, 2400) of them,
+                      and never fewer than 2 * nodes_per_span
     initial        -- optional (x, y) arrays of a hint curve; used to seed
                       the iterate (the rendering path seeds with the target
                       shape so the solver starts on the physical branch)
@@ -345,13 +337,14 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     cannot reach the constraint heights, and ElasticaConvergenceError (with
     the best iterate attached) when tolerance is not met.
     """
-    settings = settings or ElasticaSettings()
+    if nodes_per_span < 50:
+        raise ValueError("nodes_per_span must be at least 50")
     conn, origin, scale, exn, flat = normalize_beam(constraints, excess_length)
     total = 1.0 + exn
 
     n_span = conn.shape[0] - 1
-    m = min(settings.nodes_per_span * n_span, settings.max_segments)
-    m = max(m, 2 * settings.nodes_per_span)
+    m = min(nodes_per_span * n_span, _MAX_SEGMENTS)
+    m = max(m, 2 * nodes_per_span)
     h = total / m
 
     if flat and exn <= 1e-14:
@@ -379,19 +372,19 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     ab[0, 1:] = -2.0 / h
     ab[1, :] = 4.0 / h
     chol = cholesky_banded(ab, lower=False)
-    for weight in settings.penalty_stages:
+    for weight in _PENALTY_STAGES:
         theta_free, trace = _gn_stage(theta_free, m, h, xs_c, ys_c,
                                       x_end, y_end, weight, chol,
-                                      settings.max_iter)
+                                      _MAX_ITER)
         n_iter += max(len(trace) - 1, 0)
         stage_objectives.append(trace)
 
     theta = np.zeros(m)
     theta[1:m - 1] = theta_free
     theta, worst = _project(theta, m, h, xs_c, ys_c, x_end, y_end,
-                            settings.projection_steps)
+                            _PROJECTION_STEPS)
 
-    if worst > settings.tol:
+    if worst > _TOL:
         # The penalty cascade cannot resolve excesses far below the scale
         # set by the stage weights (the flat state then wins every stage
         # and is a saddle of the end-shortening constraint).  The pchip
@@ -400,7 +393,7 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
         theta_fb = _initial_angles(conn, m, total, None)
         theta_fb, worst_fb = _project(theta_fb, m, h, xs_c, ys_c,
                                       x_end, y_end,
-                                      2 * settings.projection_steps)
+                                      2 * _PROJECTION_STEPS)
         if worst_fb < worst:
             theta, worst = theta_fb, worst_fb
 
@@ -419,6 +412,6 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     nodes = nodes_n * scale + origin
     sol = ElasticaSolution(nodes, h * scale, energy_n / scale, excess_length,
                            worst * scale, stage_objectives, n_iter)
-    if worst > settings.tol:
+    if worst > _TOL:
         raise ElasticaConvergenceError("elastica did not converge", sol)
     return sol

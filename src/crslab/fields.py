@@ -90,22 +90,8 @@ class BumpField1D:
         return (self.peak - half, self.peak + half)
 
     def arc_excess(self, x0: float, x1: float) -> float:
-        """Arc length of the profile over [x0, x1] minus the chord (x1 - x0).
-
-        Only the part of [x0, x1] inside the support contributes; the
-        integrand sqrt(1 + z'(x)^2) - 1 vanishes where the field is flat.
-        """
-        lo, hi = self.support()
-        lo, hi = max(lo, x0), min(hi, x1)
-        if hi <= lo:
-            return 0.0
-
-        def g(x):
-            s = self.slope(x)
-            return math.hypot(1.0, s) - 1.0
-
-        val, _ = quad(g, lo, hi, epsabs=1e-13, epsrel=1e-9, limit=200)
-        return val
+        """Arc length of the profile over [x0, x1] minus the chord (x1 - x0)."""
+        return _arc_excess(self.slope, self.support(), x0, x1)
 
 
 @dataclass(frozen=True)
@@ -176,19 +162,25 @@ class LineRestriction:
         return (self.s_peak - w, self.s_peak + w)
 
     def arc_excess(self, s0: float, s1: float) -> float:
-        sup = self.support()
-        if sup is None:
-            return 0.0
-        lo, hi = max(sup[0], s0), min(sup[1], s1)
-        if hi <= lo:
-            return 0.0
+        """Arc length of the restricted profile over [s0, s1] minus s1 - s0."""
+        return _arc_excess(self.slope, self.support(), s0, s1)
 
-        def g(s):
-            sl = self.slope(s)
-            return math.hypot(1.0, sl) - 1.0
 
-        val, _ = quad(g, lo, hi, epsabs=1e-13, epsrel=1e-9, limit=200)
-        return val
+def _arc_excess(slope, support: Optional[Tuple[float, float]],
+                x0: float, x1: float) -> float:
+    """Arc length minus chord over [x0, x1] of a profile with the given
+    slope function that is flat outside support (None: flat everywhere).
+    Only the part of [x0, x1] inside the support contributes; the
+    integrand sqrt(1 + z'(x)^2) - 1 vanishes where the profile is flat.
+    """
+    if support is None:
+        return 0.0
+    lo, hi = max(support[0], x0), min(support[1], x1)
+    if hi <= lo:
+        return 0.0
+    val, _ = quad(lambda x: math.hypot(1.0, slope(x)) - 1.0, lo, hi,
+                  epsabs=1e-13, epsrel=1e-9, limit=200)
+    return val
 
 
 def bump1d(x: Array, fld: BumpField1D) -> Array:
@@ -449,56 +441,46 @@ class Lattice:
     def beam_lines(self) -> List[BeamLine]:
         """The straight pixel rows that carry reinforcement beams.
 
-        line lattices have a single beam; square lattices have the row and
-        column families; hexagonal lattices have three row families at 60
-        degrees to one another.  Lines with fewer than two pixels are not
-        beams.
+        Square lattices have the row and column families; hexagonal
+        lattices have three row families at 60 degrees to one another.
+        Lines with fewer than two pixels are not beams.  Line lattices
+        have none and raise ValueError.
         """
         if not hasattr(self, "_beams"):
             object.__setattr__(self, "_beams", self._build_beam_lines())
         return self._beams
 
     def _build_beam_lines(self) -> List[BeamLine]:
-        beams: List[BeamLine] = []
-        if self.kind == "line":
-            stations = self.positions - self.positions[0]
-            beams.append(BeamLine(0, 0, np.array([self.positions[0], 0.0]),
-                                  np.array([1.0, 0.0]),
-                                  np.arange(self.n_pixels), stations))
-            return beams
+        # group pixels by line key: square rows (family 0) and columns
+        # (family 1) of the row-major index; hexagonal r (family 0),
+        # q (family 1) and q + r (family 2)
         if self.kind == "square":
-            nx, ny = self.grid_shape
+            nx = self.grid_shape[0]
+            i = np.arange(self.n_pixels)
             dirs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-            for family, (n_lines, n_on) in enumerate(((ny, nx), (nx, ny))):
-                for key in range(n_lines):
-                    if family == 0:
-                        idx = key * nx + np.arange(nx)
-                    else:
-                        idx = np.arange(ny) * nx + key
-                    pos = self.positions[idx]
-                    s = (pos - pos[0]) @ dirs[family]
-                    beams.append(BeamLine(family, key, pos[0].copy(), dirs[family],
-                                          idx, s))
-            return beams
-        # hexagonal: group by r (family 0), q (family 1), q + r (family 2)
-        dirs = (np.array([1.0, 0.0]),
-                np.array([0.5, _SQRT3 / 2.0]),
-                np.array([-0.5, _SQRT3 / 2.0]))
-        keys = (self.axial[:, 1], self.axial[:, 0],
-                self.axial[:, 0] + self.axial[:, 1])
-        for family in range(3):
+            keys = (i // nx, i % nx)
+        elif self.kind == "hexagonal":
+            dirs = (np.array([1.0, 0.0]),
+                    np.array([0.5, _SQRT3 / 2.0]),
+                    np.array([-0.5, _SQRT3 / 2.0]))
+            keys = (self.axial[:, 1], self.axial[:, 0],
+                    self.axial[:, 0] + self.axial[:, 1])
+        else:
+            raise ValueError("beam lines need a 2D lattice")
+        beams: List[BeamLine] = []
+        for family, direction in enumerate(dirs):
             for key in np.unique(keys[family]):
                 idx = np.nonzero(keys[family] == key)[0]
                 if idx.size < 2:
                     continue
                 pos = self.positions[idx]
-                s = (pos - pos.mean(axis=0)) @ dirs[family]
+                s = (pos - pos.mean(axis=0)) @ direction
                 order = np.argsort(s)
                 idx = idx[order]
                 pos = pos[order]
-                stations = (pos - pos[0]) @ dirs[family]
+                stations = (pos - pos[0]) @ direction
                 beams.append(BeamLine(family, int(key), pos[0].copy(),
-                                      dirs[family], idx, stations))
+                                      direction, idx, stations))
         return beams
 
     # ---------------- validation ----------------

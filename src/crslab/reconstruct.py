@@ -23,8 +23,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .elastica import (ElasticaConvergenceError, ElasticaSettings,
-                       ElasticaSolution, normalize_beam, solve_elastica_1d)
+from .elastica import (ElasticaConvergenceError, ElasticaSolution,
+                       normalize_beam, solve_elastica_1d)
 from .fields import (BeamLine, BumpField1D, BumpField2D, Lattice, PixelHeights,
                      sample_pixels)
 
@@ -52,10 +52,8 @@ class NearestProfile:
     kind = "staircase"
 
     def __init__(self, heights: PixelHeights, lattice: Lattice):
-        self.heights = np.asarray(heights, dtype=float)
+        self.heights = _pixel_heights(heights, lattice)
         self.lattice = lattice
-        if self.heights.shape[0] != lattice.n_pixels:
-            raise ValueError("one height per pixel required")
 
     def __call__(self, *point):
         p = _pack_points(point, self.lattice.ndim)
@@ -79,7 +77,7 @@ class LinearProfile1D:
     def __init__(self, heights: PixelHeights, lattice: Lattice):
         if lattice.kind != "line":
             raise ValueError("LinearProfile1D needs a line lattice")
-        self.heights = np.asarray(heights, dtype=float)
+        self.heights = _pixel_heights(heights, lattice)
         self.lattice = lattice
 
     def __call__(self, x):
@@ -108,7 +106,7 @@ class LinearSurface2D:
     def __init__(self, heights: PixelHeights, lattice: Lattice):
         if lattice.kind not in ("square", "hexagonal"):
             raise ValueError("LinearSurface2D needs a 2D lattice")
-        self.heights = np.asarray(heights, dtype=float)
+        self.heights = _pixel_heights(heights, lattice)
         self.lattice = lattice
 
     def __call__(self, *point):
@@ -185,17 +183,17 @@ class CrsProfile1D:
 
     Pixel heights sample the field; the end compression equals the arc
     length excess of the target over the beam span, which is what the
-    boundary servo plan injects for this field.
+    boundary servo plan injects for this field.  nodes_per_span sets the
+    beam solve's resolution (see solve_elastica_1d).
     """
 
     kind = "continuous"
 
     def __init__(self, field: BumpField1D, lattice: Lattice,
-                 settings: Optional[ElasticaSettings] = None):
+                 nodes_per_span: int = 64):
         if lattice.kind != "line":
             raise ValueError("CrsProfile1D needs a line lattice")
         self.lattice = lattice
-        self.wavelength = field.wavelength
         x0, x1 = lattice.hull_bounds()
         self.heights = sample_pixels(field, lattice)
         excess = field.arc_excess(x0, x1)
@@ -203,7 +201,7 @@ class CrsProfile1D:
         n = max(2049, int(math.ceil((x1 - x0) / field.wavelength)) * 256 + 1)
         xs = np.linspace(x0, x1, n)
         self.solution: ElasticaSolution = solve_elastica_1d(
-            constraints, excess, settings=settings, initial=(xs, field(xs)))
+            constraints, excess, nodes_per_span, initial=(xs, field(xs)))
 
     def __call__(self, x):
         return self.solution.profile(x)
@@ -262,11 +260,8 @@ class CrsSurface2D:
         pixels' heights."""
         if lattice.kind not in ("square", "hexagonal"):
             raise ValueError("CrsSurface2D needs a 2D lattice")
-        heights = np.asarray(heights, dtype=float)
-        if heights.shape != (lattice.n_pixels,):
-            raise ValueError("one height per pixel required")
+        heights = _pixel_heights(heights, lattice)
         self.lattice = lattice
-        self.wavelength = hint_field.wavelength if hint_field is not None else None
         self.beams: List[BeamLine] = lattice.beam_lines()
         excess = np.asarray(beam_excess, dtype=float)
         if excess.shape != (len(self.beams),):
@@ -407,6 +402,14 @@ def build_profile(model: ReconstructionModel, field, lattice: Lattice):
 # ======================================================================
 # helpers
 # ======================================================================
+
+def _pixel_heights(heights: PixelHeights, lattice: Lattice) -> np.ndarray:
+    """Heights as a float array, checked to hold one per pixel."""
+    heights = np.asarray(heights, dtype=float)
+    if heights.shape != (lattice.n_pixels,):
+        raise ValueError("one height per pixel required")
+    return heights
+
 
 def _pack_points(point, ndim: int) -> np.ndarray:
     """Normalize call arguments to (n,) in 1D or (n, 2) in 2D."""

@@ -197,6 +197,13 @@ def test_elastica_demo_flat_and_symmetric(tmp_path):
     assert max(ys) > 0.9          # the bump is actually rendered
 
 
+def test_elastica_demo_rejects_coarse_beam(tmp_path, capsys):
+    rc = _run(["elastica-demo", "--out", str(tmp_path / "o.csv"),
+               "--set", "nodes_per_span=10"])
+    assert rc == 2
+    assert "nodes_per_span must be at least 50" in capsys.readouterr().err
+
+
 def test_distortion_sweep_output_schema(tmp_path):
     out = str(tmp_path / "sweep.csv")
     rc = _run(["distortion-sweep", "--out", out,

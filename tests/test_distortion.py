@@ -70,7 +70,6 @@ class _Smooth1D:
     def __init__(self, lattice, x0):
         self.lattice = lattice
         self.x0 = x0
-        self.wavelength = 90.0
 
     def __call__(self, x):
         x = np.asarray(x, dtype=float)
@@ -80,9 +79,16 @@ class _Smooth1D:
 def test_find_peak_continuous_1d_refines():
     lat = make_lattice("line", 30.0, 360.0)
     prof = _Smooth1D(lat, 187.3)
-    res = find_peak(prof)
+    res = find_peak(prof, 90.0)
     assert res.location == pytest.approx(187.3, abs=0.02)
     assert res.plateau is False
+
+
+@pytest.mark.parametrize("wavelength", [None, 0.0])
+def test_find_peak_continuous_needs_wavelength(wavelength):
+    prof = _Smooth1D(make_lattice("line", 30.0, 360.0), 187.3)
+    with pytest.raises(ValueError, match="positive wavelength"):
+        find_peak(prof, wavelength)
 
 
 class _Smooth2D:
@@ -91,7 +97,6 @@ class _Smooth2D:
     def __init__(self, lattice, cx, cy):
         self.lattice = lattice
         self.cx, self.cy = cx, cy
-        self.wavelength = 90.0
 
     def __call__(self, x, y):
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -103,7 +108,7 @@ class _Smooth2D:
 def test_find_peak_continuous_2d_refines():
     lat = make_lattice("square", 30.0, (180.0, 180.0))
     prof = _Smooth2D(lat, 101.7, 66.2)
-    res = find_peak(prof)
+    res = find_peak(prof, 90.0)
     assert np.linalg.norm(res.location - np.array([101.7, 66.2])) < 0.1
 
 
@@ -112,7 +117,6 @@ class _RampToEnd:
     flat, as CrsProfile1D holds its end heights, or keeps rising."""
 
     kind = "continuous"
-    wavelength = 90.0
 
     def __init__(self, lattice, held):
         self.lattice = lattice
@@ -129,7 +133,7 @@ def test_find_peak_stays_inside_hull_at_rising_end(held):
     # the peak is at the hull end; the stencil must not step beyond it,
     # even where the profile keeps rising outside the display
     lat = make_lattice("line", 30.0, 180.0)
-    res = find_peak(_RampToEnd(lat, held))
+    res = find_peak(_RampToEnd(lat, held), 90.0)
     assert 0.0 <= res.location <= 180.0
     assert 180.0 - res.location <= 1e-4 * 90.0
 

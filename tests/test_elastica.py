@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crslab import elastica
 from crslab.elastica import (
     ElasticaConvergenceError,
-    ElasticaSettings,
     InfeasibleExcessError,
     _residual_vector,
     solve_elastica_1d,
@@ -156,8 +156,8 @@ def test_node_doubling_changes_profile_below_one_percent():
     heights = bump1d(lat.positions, fld)
     con = list(zip(lat.positions, heights))
     excess = fld.arc_excess(0.0, 120.0)
-    lo = solve_elastica_1d(con, excess, ElasticaSettings(nodes_per_span=64))
-    hi = solve_elastica_1d(con, excess, ElasticaSettings(nodes_per_span=128))
+    lo = solve_elastica_1d(con, excess, nodes_per_span=64)
+    hi = solve_elastica_1d(con, excess, nodes_per_span=128)
     xs = np.linspace(0.0, 120.0, 961)
     diff = np.max(np.abs(lo.profile(xs) - hi.profile(xs)))
     assert diff <= 0.01 * 3.0
@@ -218,7 +218,7 @@ def _pinned_beam(draw):
 def test_solved_beams_meet_their_constraints(case):
     con, excess, span = case
     sol = solve_elastica_1d(con, excess)
-    assert sol.residual <= ElasticaSettings().tol * span
+    assert sol.residual <= elastica._TOL * span
     assert sol.arc_length == pytest.approx(span + excess, abs=1e-9)
     assert sol.nodes[1, 1] == sol.nodes[0, 1]
     assert sol.nodes[-1, 1] == sol.nodes[-2, 1]
@@ -258,16 +258,18 @@ def test_infeasible_excess_raises():
         solve_elastica_1d(con, 0.1)
 
 
-def test_convergence_error_carries_best_iterate():
+def test_convergence_error_carries_best_iterate(monkeypatch):
+    # starve the schedule: one weak stage of one step, no projection
+    monkeypatch.setattr(elastica, "_MAX_ITER", 1)
+    monkeypatch.setattr(elastica, "_PENALTY_STAGES", (10.0,))
+    monkeypatch.setattr(elastica, "_PROJECTION_STEPS", 0)
     con = [(0.0, 0.0), (45.0, 6.0), (90.0, 0.0)]
     needed = 2.0 * math.hypot(45.0, 6.0) - 90.0
-    tight = ElasticaSettings(max_iter=1, penalty_stages=(10.0,),
-                             projection_steps=0)
     with pytest.raises(ElasticaConvergenceError) as info:
-        solve_elastica_1d(con, needed * 1.5, tight)
+        solve_elastica_1d(con, needed * 1.5)
     err = info.value
     assert err.solution.nodes.shape[1] == 2
-    assert err.residual == err.solution.residual > tight.tol * 90.0
+    assert err.residual == err.solution.residual > elastica._TOL * 90.0
 
 
 def test_input_validation():
@@ -279,10 +281,8 @@ def test_input_validation():
         solve_elastica_1d([(0.0, 0.0), (90.0, 0.0)], -1.0)
     with pytest.raises(ValueError):
         solve_elastica_1d([(0.0, 0.0), (90.0, 0.0)], math.nan)
-    with pytest.raises(ValueError):
-        ElasticaSettings(nodes_per_span=10)
-    with pytest.raises(ValueError):
-        ElasticaSettings(tol=0.0)
+    with pytest.raises(ValueError, match="at least 50"):
+        solve_elastica_1d([(0.0, 0.0), (90.0, 0.0)], 0.0, nodes_per_span=10)
 
 
 # ======================================================================

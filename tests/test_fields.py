@@ -464,6 +464,46 @@ def test_beam_lines_square():
         assert np.allclose(pts, lat.positions[b.pixel_idx])
 
 
+def _square_beam_lines_reference(lat):
+    """Square beam lines built row by row, then column by column."""
+    nx, ny = lat.grid_shape
+    dirs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+    beams = []
+    for family, n_lines in enumerate((ny, nx)):
+        for key in range(n_lines):
+            if family == 0:
+                idx = key * nx + np.arange(nx)
+            else:
+                idx = np.arange(ny) * nx + key
+            pos = lat.positions[idx]
+            s = (pos - pos[0]) @ dirs[family]
+            beams.append((family, key, pos[0].copy(), dirs[family], idx, s))
+    return beams
+
+
+@pytest.mark.parametrize("extents", [(30.0, 30.0), (90.0, 90.0),
+                                     (60.0, 150.0)])
+def test_beam_lines_square_match_row_column_reference(extents):
+    # 2x2, 4x4 and 3x6 (nx x ny) grids
+    lat = make_lattice("square", 30.0, extents)
+    beams = lat.beam_lines()
+    ref = _square_beam_lines_reference(lat)
+    assert len(beams) == len(ref) == sum(lat.grid_shape)
+    for b, (family, key, origin, direction, idx, stations) in zip(beams, ref):
+        assert (b.family, b.key) == (family, key)
+        assert type(b.key) is int
+        assert np.array_equal(b.origin, origin)
+        assert np.array_equal(b.direction, direction)
+        assert np.array_equal(b.pixel_idx, idx)
+        assert b.pixel_idx.dtype == idx.dtype
+        assert np.array_equal(b.stations, stations)
+
+
+def test_beam_lines_need_2d_lattice():
+    with pytest.raises(ValueError, match="2D lattice"):
+        make_lattice("line", 30.0, 120.0).beam_lines()
+
+
 def test_beam_lines_hex_three_families():
     lat = make_lattice("hexagonal", 30.0, 60.0)   # 19 pixels, k = 2
     beams = lat.beam_lines()

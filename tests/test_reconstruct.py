@@ -48,10 +48,21 @@ def test_nearest_profile_hex():
     assert np.array_equal(vals, heights[idx])
 
 
-def test_nearest_height_count_validated():
-    lat = make_lattice("line", 30.0, 120.0)
+@pytest.mark.parametrize("cls, kind, extents, n_heights", [
+    (NearestProfile, "line", 120.0, 4),
+    (LinearProfile1D, "line", 120.0, 4),
+    (LinearProfile1D, "line", 120.0, 6),
+    (LinearSurface2D, "square", (90.0, 90.0), 20),
+    (LinearSurface2D, "hexagonal", 60.0, 25),
+], ids=["nearest-line", "linear-line-short", "linear-line-long",
+        "linear-square", "linear-hex"])
+def test_nearest_height_count_validated(cls, kind, extents, n_heights):
+    # every pixel-height model rejects a wrong-length height vector when
+    # built, not when (or instead of) failing at evaluation
+    lat = make_lattice(kind, 30.0, extents)
+    assert lat.n_pixels != n_heights
     with pytest.raises(ValueError, match="one height per pixel"):
-        NearestProfile(np.zeros(4), lat)
+        cls(np.arange(float(n_heights)), lat)
 
 
 def test_reconstruct_nearest_wrapper():
