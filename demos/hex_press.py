@@ -45,13 +45,13 @@ def main():
     # ==================================================================
     target = np.array([press.x_f, press.y_f])
     stair = NearestProfile(sample_pixels(fld, lat), lat)
-    pk = find_peak(stair, wavelength=fld.wavelength)
+    pk = find_peak(stair)
     err = float(np.linalg.norm(np.asarray(pk.location) - target))
     print("pixel-only peak at (%.1f, %.1f), %.1f mm off target"
           % (pk.location[0], pk.location[1], err))
 
     crs = CrsSurface2D(fld, lat)
-    pk = find_peak(crs, wavelength=fld.wavelength)
+    pk = find_peak(crs)
     err = float(np.linalg.norm(np.asarray(pk.location) - target))
     print("skeleton   peak at (%.1f, %.1f), %.1f mm off target"
           % (pk.location[0], pk.location[1], err))

@@ -59,7 +59,7 @@ def main(argv=None):
     print("%-11s %9s %11s %11s" % ("model", "peak mm", "offset mm",
                                    "shape err"))
     for name, prof in profiles.items():
-        pk = find_peak(prof, wavelength=wavelength)
+        pk = find_peak(prof)
         shown = prof.extended(xs)
         num = np.trapezoid((shown - ideal) ** 2, xs)
         den = np.trapezoid(ideal ** 2, xs)
@@ -73,7 +73,7 @@ def main(argv=None):
     print("the skeleton needed %.3f mm of end compression to buckle over"
           % crs.solution.excess)
     print("the pixels; its peak overshoots the tallest pixel by %.2f mm."
-          % (find_peak(crs, wavelength=wavelength).height - np.max(heights)))
+          % (find_peak(crs).height - np.max(heights)))
 
     if args.out:
         with open(args.out, "w", newline="") as fh:

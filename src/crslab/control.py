@@ -341,7 +341,7 @@ def run_session(trace: Sequence[FingertipSample],
             warm_hints = {i: (sol.nodes[:, 0], sol.nodes[:, 1])
                           for i, sol in enumerate(surf.solutions)}
             try:
-                res = find_peak(surf, _WAVELENGTH)
+                res = find_peak(surf)
             except NoPeakError:
                 continue
             goal = np.array([active.sample.x_f, active.sample.y_f])

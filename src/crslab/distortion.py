@@ -88,70 +88,35 @@ class PowerLawFit:
 # peak finding
 # ======================================================================
 
-_STENCIL = np.array([0.0, -1.0, 1.0, -2.0, 2.0, -3.0, 3.0])  # centre first
+def find_peak(profile) -> PeakResult:
+    """Locate the global maximum of a displayed profile over the hull.
 
-
-def _grid(axes: Sequence[np.ndarray]) -> List[np.ndarray]:
-    """Coordinates of the product of the axes, first axis fastest."""
-    return [g.ravel() for g in np.meshgrid(*axes[::-1], indexing="ij")[::-1]]
-
-
-def find_peak(profile, wavelength: Optional[float] = None) -> PeakResult:
-    """Locate the maximum of a displayed profile.
-
-    Vertex-based models (staircase, linear) resolve to the best pixel,
-    ties to the lowest-indexed one.  Continuous profiles, 1D or 2D, take
-    the first maximum of a grid over the hull's bounding box (>= 512 points
-    per wavelength in 1D, 64 per wavelength per axis in 2D, x fastest) and
-    refine it by pattern search: each round moves to the best point of a
-    7-point (7x7) stencil clipped to the box, the current one on ties, and
-    halves the spacing, from half the grid step until below 2.5e-5
-    wavelengths.  The result is a peak to 1e-4 wavelengths: no point of
-    such a stencil of that spacing around it is higher beyond roundoff.
-    Continuous profiles need the target's wavelength, which sets these
-    resolutions; vertex-based models ignore it.  Raises NoPeakError for an
-    identically zero reconstruction.
+    The maximum lies in a finite candidate set, so nothing is searched.
+    Vertex-based models (staircase, linear) peak at a pixel and take their
+    values from the pixel heights, which the barycentric surface matches
+    only to roundoff.  Continuous (CRS) profiles are evaluated in one call
+    on their ``peak_candidates``: every beam node, then the pixels.  Each
+    CRS value is a convex combination of beam-polyline values (in 1D, the
+    polyline itself), so none exceeds the best beam node, and on its own
+    line the surface takes that node's value; see ``CrsSurface2D``.  The
+    first maximum wins: the lowest-indexed pixel, or the first candidate.
+    A staircase maximum is always a plateau, and a linear one is when
+    pixels tie.  Raises NoPeakError for an identically zero reconstruction.
     """
     lat: Lattice = profile.lattice
-    if profile.kind in ("staircase", "linear"):
-        h = np.asarray(profile.heights, dtype=float)
-        if not np.any(h > 0.0):
-            raise NoPeakError("no peak")
-        top = float(h.max())
-        idx = int(np.flatnonzero(h == top)[0])
-        if lat.ndim == 1:
-            loc: Union[float, np.ndarray] = float(lat.positions[idx])
-        else:
-            loc = lat.positions[idx].copy()
-        plateau = profile.kind == "staircase" or int(np.sum(h == top)) > 1
-        return PeakResult(loc, top, plateau)
-
-    if wavelength is None or wavelength <= 0.0:
-        raise ValueError("continuous peak search needs a positive wavelength")
-    if lat.ndim == 1:
-        box, per_wl, least = [lat.hull_bounds()], 512.0, 64
-    elif lat.kind == "square":
-        box, per_wl, least = list(lat.hull_bounds()), 64.0, 8
+    if profile.kind == "continuous":
+        pts = profile.peak_candidates()
+        vals = profile(pts)
     else:
-        r = lat.hull_bounds()
-        box, per_wl, least = [(-r, r), (-r, r)], 64.0, 8
-    axes = [np.linspace(a, b, max(int(math.ceil((b - a) / wavelength * per_wl)),
-                                  least) + 1) for a, b in box]
-    pts = _grid(axes)
-    vals = profile(*pts)
+        pts, vals = lat.positions, np.asarray(profile.heights, dtype=float)
     if not np.any(vals > 0.0):
         raise NoPeakError("no peak")
     i = int(np.argmax(vals))
-    spacing = 0.5 * max(float(ax[1] - ax[0]) for ax in axes)
-    while spacing >= 2.5e-5 * wavelength:
-        pts = _grid([np.clip(p[i] + spacing * _STENCIL, a, b)
-                     for p, (a, b) in zip(pts, box)])
-        vals = profile(*pts)
-        i = int(np.argmax(vals))
-        spacing *= 0.5
-    loc = [float(p[i]) for p in pts]
-    return PeakResult(loc[0] if lat.ndim == 1 else np.array(loc),
-                      float(vals[i]), False)
+    top = float(vals[i])
+    plateau = profile.kind == "staircase" or (
+        profile.kind == "linear" and int(np.count_nonzero(vals == top)) > 1)
+    loc = float(pts[i]) if lat.ndim == 1 else pts[i].copy()
+    return PeakResult(loc, top, plateau)
 
 
 # ======================================================================
@@ -227,7 +192,7 @@ def _crs_position_errors(model: ReconstructionModel, lattice: Lattice,
         fld = _field_for(lattice, peak, amplitude, wavelength)
         profile = build_profile(model, fld, lattice)
         try:
-            res = find_peak(profile, wavelength)
+            res = find_peak(profile)
         except NoPeakError:
             if policy == "discard":
                 continue

@@ -210,6 +210,16 @@ class CrsProfile1D:
         x = np.atleast_1d(np.asarray(x, dtype=float))
         return np.where(self.lattice.contains(x), self.solution.profile(x), 0.0)
 
+    def peak_candidates(self) -> np.ndarray:
+        """Positions that hold the profile's maximum over the hull: the
+        beam's nodes clipped to the hull, then the pixels.  The profile is
+        the node polyline, so on any interval it peaks at a node inside the
+        interval or at one of its ends.  The pixels come last, so a flat
+        top, such as a flat end segment, resolves to its first node."""
+        x0, x1 = self.lattice.hull_bounds()
+        return np.concatenate([np.clip(self.solution.nodes[:, 0], x0, x1),
+                               self.lattice.positions])
+
 
 class CrsSurface2D:
     """The beam-network surface over a 2D lattice.
@@ -221,6 +231,15 @@ class CrsSurface2D:
     is inverse-distance-weighted (exponent 2) over the lines bounding the
     lattice cell containing the query point, which reproduces each beam
     exactly on its own line.  Outside the pixel hull the surface is zero.
+
+    Every value inside the hull is therefore a convex combination of beam
+    values, and each beam value interpolates two adjacent nodes of that
+    beam's polyline (node x increases along the beam, as np.interp
+    assumes).  So no point is higher than the best beam node, and on its
+    own line the surface takes that node's value: the global maximum is
+    the best of ``peak_candidates``.  Where lines cross, at a pixel, the
+    surface is the mean of the beams through it, which is within the solve
+    residual of the pixel height (at most 1e-6 of the span once converged).
     """
 
     kind = "continuous"
@@ -324,6 +343,15 @@ class CrsSurface2D:
     def extended(self, *point):
         return self.__call__(*point)
 
+    def peak_candidates(self) -> np.ndarray:
+        """(n, 2) positions that hold the surface's maximum over the hull:
+        every beam's nodes, each station clipped to the beam's span and
+        placed on its line, then the pixels, where the lines cross."""
+        pts = [beam.origin + np.clip(sol.nodes[:, 0], 0.0, beam.span)[:, None]
+               * beam.direction
+               for beam, sol in zip(self.beams, self.solutions)]
+        return np.concatenate(pts + [self.lattice.positions])
+
     # ------------------------------------------------------------------
 
     def _idw(self, p: np.ndarray) -> np.ndarray:
@@ -362,7 +390,7 @@ class CrsSurface2D:
         vals = np.zeros(ids.shape)
         for col in range(ids.shape[1]):
             col_ids = ids[:, col]
-            for b in np.unique(col_ids[col_ids >= 0]):
+            for b in np.flatnonzero(np.bincount(col_ids[col_ids >= 0])):
                 sel = col_ids == b
                 beam = self.beams[b]
                 vals[sel, col] = self.solutions[b].profile(

@@ -241,6 +241,42 @@ def test_points_from_uniform_is_deterministic():
     assert np.array_equal(a, b)
 
 
+@st.composite
+def _lattice_uniforms_margin(draw):
+    """A line, square or hexagonal lattice of random pitch, size and
+    placement, a block of unit uniforms, and a margin that leaves the
+    shrunk hull non-empty."""
+    kind = draw(st.sampled_from(["line", "square", "hexagonal"]))
+    pitch = draw(st.floats(0.5, 50.0))
+    x0, y0 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+    if kind == "line":
+        lat = make_lattice("line", pitch,
+                           (x0, x0 + pitch * draw(st.floats(1.0, 20.0))))
+        a, b = lat.hull_bounds()
+        half = 0.5 * (b - a)
+    elif kind == "square":
+        lat = make_lattice("square", pitch,
+                           ((x0, x0 + pitch * draw(st.floats(1.0, 8.0))),
+                            (y0, y0 + pitch * draw(st.floats(1.0, 8.0)))))
+        half = 0.5 * min(b - a for a, b in lat.hull_bounds())
+    else:
+        lat = make_lattice("hexagonal", pitch,
+                           pitch * draw(st.floats(1.0, 5.99)))
+        half = lat.hull_bounds() * math.sqrt(3.0) / 2.0
+    unit = st.floats(0.0, 1.0)
+    u = draw(st.lists(st.tuples(unit, unit, unit), min_size=1, max_size=40))
+    margin = half * draw(st.floats(0.0, 0.99))
+    return lat, np.array(u)[:, :lat.uniforms_per_point()], margin
+
+
+@settings(deadline=None, max_examples=200)
+@given(_lattice_uniforms_margin())
+def test_points_from_uniform_stay_inside_their_margin(case):
+    lat, u, margin = case
+    assert np.all(lat.contains(lat.points_from_uniform(u, margin=margin),
+                               margin=margin))
+
+
 # ======================================================================
 # nearest pixel
 # ======================================================================

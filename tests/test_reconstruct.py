@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crslab import reconstruct
 from crslab.elastica import InfeasibleExcessError, solve_elastica_1d
@@ -86,6 +88,30 @@ def test_linear_profile_1d_values():
     with pytest.raises(ValueError, match="extrapolation not defined"):
         prof(121.0)
     assert prof.extended(np.array([121.0]))[0] == 0.0
+
+
+@settings(deadline=None, max_examples=300)
+@given(kind=st.sampled_from(["line", "square", "hexagonal"]),
+       pitch=st.floats(0.5, 50.0), size=st.floats(1.0, 6.0),
+       x0=st.floats(-100.0, 100.0), y0=st.floats(-100.0, 100.0),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_linear_models_reproduce_pixel_heights(kind, pitch, size, x0, y0,
+                                               seed):
+    # the 1D interpolant is exact at its knots; the barycentric surface is
+    # exact up to the roundoff of its weights, which is why find_peak takes
+    # vertex-model peak values from the heights rather than the surface
+    if kind == "line":
+        lat = make_lattice("line", pitch, (x0, x0 + pitch * size))
+    elif kind == "square":
+        lat = make_lattice("square", pitch, ((x0, x0 + pitch * size),
+                                             (y0, y0 + pitch * size)))
+    else:
+        lat = make_lattice("hexagonal", pitch, pitch * size)
+    heights = np.random.default_rng(seed).normal(size=lat.n_pixels)
+    model = LinearProfile1D if kind == "line" else LinearSurface2D
+    tol = 0.0 if kind == "line" else 1e-14 * np.max(np.abs(heights))
+    vals = model(heights, lat)(lat.positions)
+    assert np.max(np.abs(vals - heights)) <= tol
 
 
 def test_linear_surface_square_centroid_mean():
