@@ -220,6 +220,8 @@ def _load_config(command: str, path: Optional[str],
 # ======================================================================
 
 def _fmt(value) -> str:
+    if type(value) is float:
+        return format(value, ".12g")
     if isinstance(value, str):
         return value
     if value is None:
@@ -346,10 +348,9 @@ def cmd_replay(cfg: dict, out: str, trace_path: str) -> int:
                             probe_every_ms=cfg["probe_every_ms"],
                             log_every_ms=cfg["log_every_ms"])
     log = run_session(trace, session)
-    rows = [(t, ch, c, a) for t, ch, c, a in log.command_rows]
     text = _table("replay", cfg,
                   ("t_ms", "channel", "commanded_mm", "actual_mm"),
-                  rows, None)
+                  log.command_rows, None)
     _write(text, out)
 
     lags = [f.total_latency_ms for f in log.frames

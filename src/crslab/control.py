@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -113,7 +113,15 @@ class ClampEvent:
 
 @dataclass
 class FrameLog:
-    """Per input frame bookkeeping."""
+    """Per input frame bookkeeping.
+
+    actuation_ms is the time from the frame's activation to the first peak
+    probe (one every probe_every_ms) whose displayed peak lies within
+    pitch/4 of the commanded position; the peak's height is not checked.
+    It stays None without peak tracking, for a skipped frame or a release
+    (zero depth), and when no probe gets there before the next frame
+    activates.
+    """
 
     sample: FingertipSample
     t_active_ms: float
@@ -261,6 +269,12 @@ def run_session(trace: Sequence[FingertipSample],
     infeasible are logged as violations and skipped, leaving the previous
     commands in place.  The log carries the commanded versus actual time
     series and the per-frame latency ledger.
+
+    Each peak probe builds the displayed surface with the last surface it
+    built as ``previous`` (CrsSurface2D.from_state): a beam whose pins and
+    excess have not changed since then, and whose solve there converged,
+    keeps its solution; every other beam is solved warm from its previous
+    nodes.
     """
     lat = config.lattice
     if lat.ndim != 2:
@@ -288,7 +302,7 @@ def run_session(trace: Sequence[FingertipSample],
 
     pending = deque(trace)
     active: Optional[FrameLog] = None
-    warm_hints: Dict[int, tuple] = {}
+    previous: Optional[CrsSurface2D] = None
     next_probe = 0.0
     next_log = 0.0
     d_quarter = 0.25 * lat.pitch
@@ -334,12 +348,11 @@ def run_session(trace: Sequence[FingertipSample],
             target = render_target(active.sample)
             try:
                 surf = CrsSurface2D.from_state(
-                    lat, heights, comp, hint_field=target, hints=warm_hints,
+                    lat, heights, comp, hint_field=target, previous=previous,
                     strict=False)
             except ElasticaError:
                 continue
-            warm_hints = {i: (sol.nodes[:, 0], sol.nodes[:, 1])
-                          for i, sol in enumerate(surf.solutions)}
+            previous = surf
             try:
                 res = find_peak(surf)
             except NoPeakError:

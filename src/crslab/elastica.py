@@ -96,53 +96,87 @@ class ElasticaSolution:
 # span scaled to 1)
 # ----------------------------------------------------------------------
 
-def _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end):
-    """Constraint residuals, and a function that builds their Jacobian wrt
-    the free angles (so that callers needing only r skip it).
+class _Constraints:
+    """The constraint residuals of one beam and their Jacobian with respect
+    to the free angles, built in buffers allocated once per solve.
 
     Rows: far-end x gap, far-end y gap, then one vertical-intercept gap per
     interior constraint.  If the polyline transiently folds (x not strictly
     increasing) the vertical intercept is undefined, so those rows pin the
     arc station closest to the constraint instead (an x and a y row each).
     """
-    c = np.cos(theta)
-    s = np.sin(theta)
-    x = np.empty(m + 1)
-    y = np.empty(m + 1)
-    x[0] = 0.0
-    y[0] = 0.0
-    np.cumsum(h * c, out=x[1:])
-    np.cumsum(h * s, out=y[1:])
-    # 0 = x[0] < xs_c < 1 <= m h, so every j below is a valid node index
-    monotone = bool((x[1:] > x[:-1]).all())
-    if monotone:
-        j = np.minimum(np.searchsorted(x, xs_c, side="right") - 1, m - 1)
-        t = np.tan(theta[j])
-        pins = y[j] + (xs_c - x[j]) * t - ys_c
-    else:
-        j = np.rint(xs_c / h).astype(int)
-        pins = np.column_stack([x[j] - xs_c, y[j] - ys_c]).ravel()
-    r = np.concatenate([[x[m] - x_end, y[m] - y_end], pins])
 
-    def jacobian():
-        # pin row k depends on the free angles before its station j[k]
-        sf, cf = s[1:m - 1], c[1:m - 1]
-        before = np.arange(1, m - 1)[None, :] < j[:, None]
-        if monotone:
-            block = np.where(before, h * (cf + t[:, None] * sf), 0.0)
-            on = (j >= 1) & (j <= m - 2)
-            block[on, j[on] - 1] = ((xs_c - x[j]) * (1.0 + t * t))[on]
+    def __init__(self, m, h, xs_c, ys_c, x_end, y_end):
+        self.m, self.h = m, h
+        self.xs_c, self.ys_c = xs_c, ys_c
+        self.x_end, self.y_end = x_end, y_end
+        k = len(xs_c)
+        self._cs = np.empty((2, m))           # cos and sin of the angles
+        self._steps = np.empty((2, m))        # segment steps in x and y
+        self._xy = np.zeros((2, m + 1))       # node coordinates
+        self._r = np.empty(2 + 2 * k)
+        # row 0 is left for the caller's gradient, so that [g | J^T] is the
+        # transpose of one block
+        self._gj = np.empty((3 + 2 * k, m - 2))
+
+    def residual(self, theta: np.ndarray) -> np.ndarray:
+        """r at the angles theta, a view that the next call overwrites."""
+        m, h, xs_c, ys_c = self.m, self.h, self.xs_c, self.ys_c
+        cs, xy = self._cs, self._xy
+        np.cos(theta, out=cs[0])
+        np.sin(theta, out=cs[1])
+        np.multiply(h, cs, out=self._steps)
+        np.cumsum(self._steps, axis=1, out=xy[:, 1:])
+        x, y = xy
+        # 0 = x[0] < xs_c < 1 <= m h, so every j below is a valid node index
+        self._monotone = bool((x[1:] > x[:-1]).all())
+        if self._monotone:
+            j = np.minimum(np.searchsorted(x, xs_c, side="right") - 1, m - 1)
+            self._t = np.tan(theta[j])
+            r = self._r[:2 + len(j)]
+            np.add(y[j], (xs_c - x[j]) * self._t, out=r[2:])
+            r[2:] -= ys_c
         else:
-            block = np.stack([np.where(before, -h * sf, 0.0),
-                              np.where(before, h * cf, 0.0)],
-                             axis=1).reshape(len(pins), m - 2)
-        return np.vstack([-h * sf, h * cf, block])
+            j = np.rint(xs_c / h).astype(int)
+            r = self._r[:2 + 2 * len(j)]
+            np.subtract(x[j], xs_c, out=r[2::2])
+            np.subtract(y[j], ys_c, out=r[3::2])
+        r[0] = x[m] - self.x_end
+        r[1] = y[m] - self.y_end
+        self._j = j
+        return r
 
-    return r, jacobian
+    def jacobian(self) -> np.ndarray:
+        """[spare row; J] at the angles of the last residual call, with J
+        taken with respect to the free angles theta[1:m-1]."""
+        m, h, j = self.m, self.h, self._j
+        c, s = self._cs[0, 1:m - 1], self._cs[1, 1:m - 1]
+        gj = self._gj[:(3 if self._monotone else 3 + len(j)) + len(j)]
+        np.multiply(-h, s, out=gj[1])
+        np.multiply(h, c, out=gj[2])
+        # pin row k depends on the free angles before its station j[k],
+        # which are the first j[k] - 1 (free angle i is angle i + 1)
+        if self._monotone:
+            t = self._t
+            x = self._xy[0]
+            on = (self.xs_c - x[j]) * (1.0 + t * t)
+            for row, jk, tk, onk in zip(gj[3:], j.tolist(), t, on):
+                n = max(jk - 1, 0)
+                np.multiply(tk, s[:n], out=row[:n])
+                row[:n] += c[:n]
+                row[:n] *= h
+                row[n:] = 0.0
+                if 1 <= jk <= m - 2:
+                    row[n] = onk
+        else:
+            for k, jk in enumerate(j.tolist()):
+                n = max(jk - 1, 0)
+                gj[3 + 2 * k:5 + 2 * k, :n] = gj[1:3, :n]
+                gj[3 + 2 * k:5 + 2 * k, n:] = 0.0
+        return gj
 
 
-def _gn_stage(theta_free, m, h, xs_c, ys_c, x_end, y_end, weight, chol,
-              max_steps):
+def _gn_stage(theta_free, rows, weight, chol, max_steps):
     """Minimise bend + (weight/2)|r|^2 by damped Gauss-Newton.
 
     The Hessian is approximated by H_bend + weight*J^T J; steps solve
@@ -155,30 +189,37 @@ def _gn_stage(theta_free, m, h, xs_c, ys_c, x_end, y_end, weight, chol,
     test compares rounding noise, and further halvings only spend
     evaluations (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.1).
     """
+    m, h = rows.m, rows.h
+    th = np.zeros(m)
+    dth = np.empty(m - 1)
+    r = None
 
-    def evaluate(tf):
-        """f at tf, and a function that builds (g, J) there."""
-        th = np.zeros(m)
+    def objective(tf):
+        """f at tf, which becomes the point that gradient() works at."""
+        nonlocal r
         th[1:m - 1] = tf
-        dth = th[1:] - th[:-1]
-        r, jacobian = _residual_vector(th, m, h, xs_c, ys_c, x_end, y_end)
+        np.subtract(th[1:], th[:-1], out=dth)
+        r = rows.residual(th)
+        return float(dth @ dth) / h + 0.5 * weight * float(r @ r)
 
-        def grad():
-            jac = jacobian()
-            q = 2.0 * dth / h
-            return (q[:-1] - q[1:]) + weight * (jac.T @ r), jac
+    def gradient():
+        """[g; J] at the last objective() point."""
+        gj = rows.jacobian()
+        q = 2.0 * dth / h
+        np.subtract(q[:-1], q[1:], out=gj[0])
+        gj[0] += weight * (gj[1:].T @ r)
+        return gj
 
-        return float(dth @ dth) / h + 0.5 * weight * float(r @ r), grad
-
-    f, grad = evaluate(theta_free)
-    g, jac = grad()
+    f = objective(theta_free)
+    gj = gradient()
     trace = [f]
     for _ in range(max_steps):
+        g, jac = gj[0], gj[1:]
         if np.max(np.abs(g)) < 1e-12:
             break
         # Woodbury: (H + w J^T J)^{-1} g, one banded solve for [g | J^T],
-        # passed in the Fortran order that LAPACK solves in place
-        sol, _info = dpbtrs(chol, np.vstack([g, jac]).T, overwrite_b=1)
+        # which LAPACK solves in a Fortran-ordered copy
+        sol, _info = dpbtrs(chol, gj.T)
         v, wt = sol[:, 0], sol[:, 1:]
         small = jac @ wt
         small.flat[::small.shape[0] + 1] += 1.0 / weight
@@ -194,10 +235,10 @@ def _gn_stage(theta_free, m, h, xs_c, ys_c, x_end, y_end, weight, chol,
             if -alpha * slope <= _ROUNDOFF * abs(f):
                 return theta_free, trace
             cand = np.minimum(np.maximum(theta_free + alpha * step, -1.45), 1.45)
-            fc, grad = evaluate(cand)
+            fc = objective(cand)
             if fc <= f + 1e-4 * alpha * slope:
                 theta_free, f = cand, fc
-                g, jac = grad()
+                gj = gradient()
                 trace.append(f)
                 break
             alpha *= 0.5
@@ -256,20 +297,20 @@ def _initial_angles(con, m, total_len, initial):
     return theta
 
 
-def _project(theta, m, h, xs_c, ys_c, x_end, y_end, steps):
+def _project(theta, rows, steps):
     """Gauss-Newton projection onto the constraint set (minimum-norm
     steps).  Returns the projected angles and the final max |residual|."""
     theta = theta.copy()
     for _ in range(steps):
-        r, jacobian = _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end)
+        r = rows.residual(theta)
         if np.max(np.abs(r)) < 1e-13:
             break
-        jac = jacobian()
+        jac = rows.jacobian()[1:]
         jjt = jac @ jac.T
         jjt.flat[::len(r) + 1] += 1e-12 * max(np.trace(jjt), 1e-30)
         lam = np.linalg.solve(jjt, r)
-        theta[1:m - 1] -= jac.T @ lam
-    r, _ = _residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end)
+        theta[1:rows.m - 1] -= jac.T @ lam
+    r = rows.residual(theta)
     return theta, float(np.max(np.abs(r)))
 
 
@@ -360,8 +401,9 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
         init = None
     theta = _initial_angles(conn, m, total, init)
 
-    xs_c, ys_c = conn[1:-1, 0], conn[1:-1, 1]
+    xs_c = conn[1:-1, 0]
     x_end, y_end = conn[-1]
+    rows = _Constraints(m, h, xs_c, conn[1:-1, 1], x_end, y_end)
 
     stage_objectives: List[List[float]] = []
     n_iter = 0
@@ -373,16 +415,14 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     ab[1, :] = 4.0 / h
     chol = cholesky_banded(ab, lower=False)
     for weight in _PENALTY_STAGES:
-        theta_free, trace = _gn_stage(theta_free, m, h, xs_c, ys_c,
-                                      x_end, y_end, weight, chol,
+        theta_free, trace = _gn_stage(theta_free, rows, weight, chol,
                                       _MAX_ITER)
         n_iter += max(len(trace) - 1, 0)
         stage_objectives.append(trace)
 
     theta = np.zeros(m)
     theta[1:m - 1] = theta_free
-    theta, worst = _project(theta, m, h, xs_c, ys_c, x_end, y_end,
-                            _PROJECTION_STEPS)
+    theta, worst = _project(theta, rows, _PROJECTION_STEPS)
 
     if worst > _TOL:
         # The penalty cascade cannot resolve excesses far below the scale
@@ -391,9 +431,7 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
         # plus per-gap arch seed is already near-feasible there, so a
         # plain projection from it recovers the constraint set.
         theta_fb = _initial_angles(conn, m, total, None)
-        theta_fb, worst_fb = _project(theta_fb, m, h, xs_c, ys_c,
-                                      x_end, y_end,
-                                      2 * _PROJECTION_STEPS)
+        theta_fb, worst_fb = _project(theta_fb, rows, 2 * _PROJECTION_STEPS)
         if worst_fb < worst:
             theta, worst = theta_fb, worst_fb
 

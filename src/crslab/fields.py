@@ -45,15 +45,6 @@ def _raised_cosine(dist: Array, amplitude: float, wavelength: float) -> Array:
     return np.where(inside, val, 0.0)
 
 
-def _raised_cosine_slope(dist: Array, amplitude: float, wavelength: float) -> Array:
-    """d/d(dist) of the raised cosine; zero outside the support."""
-    dist = np.asarray(dist, dtype=float)
-    inside = dist <= 0.5 * wavelength
-    phase = 2.0 * np.pi * np.where(inside, dist, 0.0) / wavelength
-    val = -(amplitude * np.pi / wavelength) * np.sin(phase)
-    return np.where(inside, val, 0.0)
-
-
 @dataclass(frozen=True)
 class BumpField1D:
     """A raised-cosine bump along a line.
@@ -79,11 +70,15 @@ class BumpField1D:
     def __call__(self, x: Array) -> Array:
         return bump1d(x, self)
 
-    def slope(self, x: Array) -> Array:
-        """dz/dx at x (mm/mm)."""
-        x = np.asarray(x, dtype=float)
-        s = _raised_cosine_slope(np.abs(x - self.peak), self.amplitude, self.wavelength)
-        return np.where(x >= self.peak, s, -s)
+    def slope(self, x: float) -> float:
+        """dz/dx at a scalar x (mm/mm), as the arc-excess quadrature calls
+        it: one point at a time."""
+        wl = self.wavelength
+        dist = abs(x - self.peak)
+        if dist > 0.5 * wl:
+            return 0.0
+        s = -(self.amplitude * math.pi / wl) * math.sin(2.0 * math.pi * dist / wl)
+        return s if x >= self.peak else -s
 
     def support(self) -> Tuple[float, float]:
         half = 0.5 * self.wavelength
@@ -144,14 +139,18 @@ class LineRestriction:
         r = np.hypot(s - self.s_peak, self.offset)
         return _raised_cosine(r, self.parent.amplitude, self.parent.wavelength)
 
-    def slope(self, s: Array) -> Array:
-        s = np.asarray(s, dtype=float)
+    def slope(self, s: float) -> float:
+        """dz/ds at a scalar s: the radial slope times ds/r, and zero at the
+        peak itself."""
         ds = s - self.s_peak
-        r = np.hypot(ds, self.offset)
-        radial = _raised_cosine_slope(r, self.parent.amplitude, self.parent.wavelength)
-        with np.errstate(invalid="ignore"):
-            out = np.where(r > 0.0, radial * ds / np.where(r > 0.0, r, 1.0), 0.0)
-        return out
+        # NumPy's hypot, which math.hypot does not match to the last bit
+        r = float(np.hypot(ds, self.offset))
+        wl = self.parent.wavelength
+        if r == 0.0 or r > 0.5 * wl:
+            return 0.0
+        radial = -(self.parent.amplitude * math.pi / wl) \
+            * math.sin(2.0 * math.pi * r / wl)
+        return radial * ds / r
 
     def support(self) -> Optional[Tuple[float, float]]:
         """Interval of s where the restricted profile is nonzero, or None."""

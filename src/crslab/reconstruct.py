@@ -255,28 +255,34 @@ class CrsSurface2D:
     @classmethod
     def from_state(cls, lattice: Lattice, heights: PixelHeights,
                    beam_excess, hint_field: Optional[BumpField2D] = None,
-                   hints: Optional[dict] = None,
+                   previous: Optional["CrsSurface2D"] = None,
                    strict: bool = True) -> "CrsSurface2D":
         """Surface from raw display state instead of a target field.
 
         heights     -- actual pixel heights, lattice enumeration order
         beam_excess -- arc-length excess per beam, beam_lines() order
         hint_field  -- optional target field used only to seed the solves
-        hints       -- optional {beam index: (x, y) polyline} warm starts,
-                       taking precedence over hint_field
+        previous    -- optional surface built earlier on the same lattice.
+                       A beam whose pins (stations and heights) and excess
+                       exactly equal those it had there, and whose solve
+                       there converged, keeps that solution without a new
+                       solve; every other beam is seeded with that
+                       surface's nodes, which take precedence over
+                       hint_field
         strict      -- when False, beams that stop above tolerance keep
                        their best iterate instead of raising (useful for
                        transient states mid-motion)
         """
         obj = object.__new__(cls)
-        obj._build(lattice, heights, beam_excess, hint_field, hints, strict)
+        obj._build(lattice, heights, beam_excess, hint_field, previous, strict)
         return obj
 
     def _build(self, lattice: Lattice, heights, beam_excess,
                hint_field: Optional[BumpField2D] = None,
-               hints: Optional[dict] = None, strict: bool = True) -> None:
+               previous: Optional["CrsSurface2D"] = None,
+               strict: bool = True) -> None:
         """Check every beam's arc budget, then solve each beam pinned at its
-        pixels' heights."""
+        pixels' heights, or keep ``previous``'s solution (see from_state)."""
         if lattice.kind not in ("square", "hexagonal"):
             raise ValueError("CrsSurface2D needs a 2D lattice")
         heights = _pixel_heights(heights, lattice)
@@ -291,9 +297,21 @@ class CrsSurface2D:
         for constraints, ex in zip(pins, excess):
             normalize_beam(constraints, float(ex))
         self.solutions: List[ElasticaSolution] = []
+        # the pins of every beam whose solve converged, None for the others
+        self._converged_pins: List[Optional[np.ndarray]] = []
         for i, (beam, constraints) in enumerate(zip(self.beams, pins)):
-            hint = hints.get(i) if hints else None
-            if hint is None and hint_field is not None:
+            ex = float(excess[i])
+            hint = None
+            if previous is not None:
+                prev = previous.solutions[i]
+                kept = previous._converged_pins[i]
+                if (kept is not None and prev.excess == ex
+                        and np.array_equal(kept, constraints)):
+                    self.solutions.append(prev)
+                    self._converged_pins.append(kept)
+                    continue
+                hint = (prev.nodes[:, 0], prev.nodes[:, 1])
+            elif hint_field is not None:
                 restr = hint_field.along_line(beam.origin, beam.direction)
                 sup = restr.support()
                 if sup is not None and sup[1] > 0.0 and sup[0] < beam.span:
@@ -302,12 +320,13 @@ class CrsSurface2D:
                     hs = np.linspace(0.0, beam.span, n_h)
                     hint = (hs, restr(hs))
             try:
-                sol = solve_elastica_1d(constraints, float(excess[i]),
-                                        initial=hint)
+                sol = solve_elastica_1d(constraints, ex, initial=hint)
+                self._converged_pins.append(constraints)
             except ElasticaConvergenceError as err:
                 if strict:
                     raise
                 sol = err.solution
+                self._converged_pins.append(None)
             self.solutions.append(sol)
         self._index_beams()
 

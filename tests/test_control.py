@@ -266,12 +266,21 @@ def test_session_empty_trace_empty_log():
 
 
 def test_session_determinism():
-    cfg = _session_config(track_peaks=False)
     trace = [FingertipSample(0.0, 7.0, -4.0, 2.0),
-             FingertipSample(30.0, 10.0, 0.0, 1.0)]
-    a = run_session(trace, cfg)
-    b = run_session(trace, cfg)
-    assert a.command_rows == b.command_rows
+             FingertipSample(30.0, 10.0, 0.0, 1.0),
+             FingertipSample(120.0, 12.0, 3.0, 2.5)]
+    for track_peaks in (False, True):
+        cfg = _session_config(track_peaks=track_peaks)
+        a = run_session(trace, cfg)
+        b = run_session(trace, cfg)
+        assert a.command_rows == b.command_rows
+        lags = [f.actuation_ms for f in a.frames]
+        assert lags == [f.actuation_ms for f in b.frames]
+        assert any(lag is not None for lag in lags) == track_peaks
+        for fa, fb in zip(a.frames, b.frames):
+            assert (fa.peak_location is None) == (fb.peak_location is None)
+            if fa.peak_location is not None:
+                assert np.array_equal(fa.peak_location, fb.peak_location)
 
 
 def test_command_log_format(tmp_path):

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg.lapack import dpbtrs
 
 from crslab import elastica
 from crslab.elastica import (
     ElasticaConvergenceError,
     InfeasibleExcessError,
-    _residual_vector,
     solve_elastica_1d,
 )
 from crslab.fields import BumpField1D, bump1d, make_lattice
@@ -98,7 +98,7 @@ def test_profile_holds_end_heights_outside_span():
 
 
 def _residual_loop(theta, m, h, xs_c, ys_c, x_end, y_end):
-    """Reference for _residual_vector: the constraint rows built one pin at
+    """Reference for _Constraints: the constraint rows built one pin at
     a time (vertical intercepts, or nearest-station x and y rows when the
     polyline folds back), Jacobian restricted to the free angles."""
     c, s = np.cos(theta), np.sin(theta)
@@ -138,12 +138,17 @@ def test_residual_rows_match_per_pin_reference(fold):
     xs_c = np.array([0.3 * x[0], 0.2, 0.5, 0.77, 0.5 * (x[-2] + x[-1]),
                      x[-1] + 0.1 * h])
     ys_c = rng.uniform(-0.05, 0.05, len(xs_c))
-    r, jacobian = _residual_vector(theta, m, h, xs_c, ys_c, 1.0, 0.01)
+    rows = elastica._Constraints(m, h, xs_c, ys_c, 1.0, 0.01)
+    # fill the buffers at another point first: every row must be rewritten
+    rows.residual(np.zeros(m) if fold else theta.copy() * 0.5)
+    rows.jacobian()
+    r = rows.residual(theta)
+    jac = rows.jacobian()[1:]
     r_ref, jac_ref = _residual_loop(theta, m, h, xs_c, ys_c, 1.0, 0.01)
     assert len(r) == 2 + (2 if fold else 1) * len(xs_c)
     # np.tan and math.tan may differ in the last bit
     np.testing.assert_allclose(r, r_ref, rtol=1e-13, atol=1e-15)
-    np.testing.assert_allclose(jacobian(), jac_ref, rtol=1e-13, atol=1e-15)
+    np.testing.assert_allclose(jac, jac_ref, rtol=1e-13, atol=1e-15)
 
 
 # ======================================================================
@@ -223,6 +228,153 @@ def test_solved_beams_meet_their_constraints(case):
     assert sol.nodes[1, 1] == sol.nodes[0, 1]
     assert sol.nodes[-1, 1] == sol.nodes[-2, 1]
     assert np.array_equal(solve_elastica_1d(con, excess).nodes, sol.nodes)
+
+
+# The solver as it stood before its Gauss-Newton steps moved into
+# preallocated buffers: a residual built by concatenation with a Jacobian
+# closure over (k, m) masks, and stage and projection loops around it.  The
+# buffered solver must reproduce its iterates bit for bit.
+
+def _reference_residual_vector(theta, m, h, xs_c, ys_c, x_end, y_end):
+    c = np.cos(theta)
+    s = np.sin(theta)
+    x = np.empty(m + 1)
+    y = np.empty(m + 1)
+    x[0] = 0.0
+    y[0] = 0.0
+    np.cumsum(h * c, out=x[1:])
+    np.cumsum(h * s, out=y[1:])
+    monotone = bool((x[1:] > x[:-1]).all())
+    if monotone:
+        j = np.minimum(np.searchsorted(x, xs_c, side="right") - 1, m - 1)
+        t = np.tan(theta[j])
+        pins = y[j] + (xs_c - x[j]) * t - ys_c
+    else:
+        j = np.rint(xs_c / h).astype(int)
+        pins = np.column_stack([x[j] - xs_c, y[j] - ys_c]).ravel()
+    r = np.concatenate([[x[m] - x_end, y[m] - y_end], pins])
+
+    def jacobian():
+        sf, cf = s[1:m - 1], c[1:m - 1]
+        before = np.arange(1, m - 1)[None, :] < j[:, None]
+        if monotone:
+            block = np.where(before, h * (cf + t[:, None] * sf), 0.0)
+            on = (j >= 1) & (j <= m - 2)
+            block[on, j[on] - 1] = ((xs_c - x[j]) * (1.0 + t * t))[on]
+        else:
+            block = np.stack([np.where(before, -h * sf, 0.0),
+                              np.where(before, h * cf, 0.0)],
+                             axis=1).reshape(len(pins), m - 2)
+        return np.vstack([-h * sf, h * cf, block])
+
+    return r, jacobian
+
+
+def _reference_gn_stage(theta_free, rows, weight, chol, max_steps):
+    m, h = rows.m, rows.h
+    args = (m, h, rows.xs_c, rows.ys_c, rows.x_end, rows.y_end)
+
+    def evaluate(tf):
+        th = np.zeros(m)
+        th[1:m - 1] = tf
+        dth = th[1:] - th[:-1]
+        r, jacobian = _reference_residual_vector(th, *args)
+
+        def grad():
+            jac = jacobian()
+            q = 2.0 * dth / h
+            return (q[:-1] - q[1:]) + weight * (jac.T @ r), jac
+
+        return float(dth @ dth) / h + 0.5 * weight * float(r @ r), grad
+
+    f, grad = evaluate(theta_free)
+    g, jac = grad()
+    trace = [f]
+    for _ in range(max_steps):
+        if np.max(np.abs(g)) < 1e-12:
+            break
+        sol, _info = dpbtrs(chol, np.vstack([g, jac]).T, overwrite_b=1)
+        v, wt = sol[:, 0], sol[:, 1:]
+        small = jac @ wt
+        small.flat[::small.shape[0] + 1] += 1.0 / weight
+        corr = wt @ np.linalg.solve(small, jac @ v)
+        step = -(v - corr)
+        slope = float(g @ step)
+        if slope >= 0.0:
+            step = -g
+            slope = float(g @ step)
+        alpha = 1.0
+        for _bt in range(30):
+            if -alpha * slope <= elastica._ROUNDOFF * abs(f):
+                return theta_free, trace
+            cand = np.minimum(np.maximum(theta_free + alpha * step, -1.45), 1.45)
+            fc, grad = evaluate(cand)
+            if fc <= f + 1e-4 * alpha * slope:
+                theta_free, f = cand, fc
+                g, jac = grad()
+                trace.append(f)
+                break
+            alpha *= 0.5
+        else:
+            break
+        if trace[-2] - trace[-1] <= 1e-15 * max(abs(trace[-1]), 1e-30):
+            break
+    return theta_free, trace
+
+
+def _reference_project(theta, rows, steps):
+    m = rows.m
+    args = (m, rows.h, rows.xs_c, rows.ys_c, rows.x_end, rows.y_end)
+    theta = theta.copy()
+    for _ in range(steps):
+        r, jacobian = _reference_residual_vector(theta, *args)
+        if np.max(np.abs(r)) < 1e-13:
+            break
+        jac = jacobian()
+        jjt = jac @ jac.T
+        jjt.flat[::len(r) + 1] += 1e-12 * max(np.trace(jjt), 1e-30)
+        lam = np.linalg.solve(jjt, r)
+        theta[1:m - 1] -= jac.T @ lam
+    r, _ = _reference_residual_vector(theta, *args)
+    return theta, float(np.max(np.abs(r)))
+
+
+def _solve_or_best(con, excess, initial):
+    try:
+        return solve_elastica_1d(con, excess, initial=initial)
+    except ElasticaConvergenceError as err:
+        return err.solution
+
+
+def _reference_solve(con, excess, initial):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(elastica, "_gn_stage", _reference_gn_stage)
+        mp.setattr(elastica, "_project", _reference_project)
+        return _solve_or_best(con, excess, initial)
+
+
+@settings(deadline=None, max_examples=15)
+@given(_pinned_beam(), st.floats(0.0, 0.3), st.floats(-0.3, 0.3))
+def test_buffered_steps_reproduce_the_reference_iterates(case, more, lift):
+    con, excess, span = case
+    cold = _solve_or_best(con, excess, None)
+    ref = _reference_solve(con, excess, None)
+    assert np.array_equal(cold.nodes, ref.nodes)
+    assert cold.n_iterations == ref.n_iterations
+    assert cold.stage_objectives == ref.stage_objectives
+    # warm-started from that solution, as the next probe of a replay
+    # seeds a beam whose excess and middle pin have moved
+    moved = [(x, y + (lift if i == len(con) // 2 else 0.0))
+             for i, (x, y) in enumerate(con)]
+    needed = float(np.sum(np.hypot(np.diff([x for x, _ in moved]),
+                                   np.diff([y for _, y in moved])))) - span
+    warm_excess = max(excess + more, needed + 0.05)
+    hint = (cold.nodes[:, 0], cold.nodes[:, 1])
+    warm = _solve_or_best(moved, warm_excess, hint)
+    ref = _reference_solve(moved, warm_excess, hint)
+    assert np.array_equal(warm.nodes, ref.nodes)
+    assert warm.n_iterations == ref.n_iterations
+    assert warm.stage_objectives == ref.stage_objectives
 
 
 @pytest.mark.xfail(strict=True, raises=ElasticaConvergenceError,

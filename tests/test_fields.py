@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.integrate import quad
 
 from crslab.fields import (
     BumpField1D,
@@ -39,7 +40,99 @@ def test_bump1d_slope_matches_finite_difference():
     xs = np.linspace(-40.0, 40.0, 321)
     h = 1e-6
     fd = (bump1d(xs + h, fld) - bump1d(xs - h, fld)) / (2.0 * h)
-    assert np.allclose(fld.slope(xs), fd, atol=5e-6)
+    slopes = np.array([fld.slope(float(x)) for x in xs])
+    assert np.allclose(slopes, fd, atol=5e-6)
+
+
+# The array slopes that the scalar ones replaced; the arc excess must not
+# move by a bit, since the replay command log depends on it.
+
+def _array_radial_slope(dist, amplitude, wavelength):
+    dist = np.asarray(dist, dtype=float)
+    inside = dist <= 0.5 * wavelength
+    phase = 2.0 * np.pi * np.where(inside, dist, 0.0) / wavelength
+    val = -(amplitude * np.pi / wavelength) * np.sin(phase)
+    return np.where(inside, val, 0.0)
+
+
+def _array_slope_1d(fld, x):
+    x = np.asarray(x, dtype=float)
+    s = _array_radial_slope(np.abs(x - fld.peak), fld.amplitude, fld.wavelength)
+    return np.where(x >= fld.peak, s, -s)
+
+
+def _array_slope_line(restr, s):
+    s = np.asarray(s, dtype=float)
+    ds = s - restr.s_peak
+    r = np.hypot(ds, restr.offset)
+    radial = _array_radial_slope(r, restr.parent.amplitude,
+                                 restr.parent.wavelength)
+    with np.errstate(invalid="ignore"):
+        return np.where(r > 0.0, radial * ds / np.where(r > 0.0, r, 1.0), 0.0)
+
+
+def _array_arc_excess(slope, support, x0, x1):
+    if support is None:
+        return 0.0
+    lo, hi = max(support[0], x0), min(support[1], x1)
+    if hi <= lo:
+        return 0.0
+    val, _ = quad(lambda x: math.hypot(1.0, slope(x)) - 1.0, lo, hi,
+                  epsabs=1e-13, epsrel=1e-9, limit=200)
+    return val
+
+
+def test_scalar_slopes_equal_the_array_slopes():
+    fld = BumpField1D(peak=-3.0, amplitude=1.5, wavelength=60.0)
+    half = 0.5 * fld.wavelength
+    # the peak, both support edges, a point just inside and beyond each,
+    # and far outside
+    xs = np.concatenate([np.linspace(-60.0, 60.0, 241),
+                         fld.peak + np.array([0.0, -half, half])])
+    xs = np.concatenate([xs, np.nextafter(xs, np.inf), np.nextafter(xs, -np.inf)])
+    for x in xs:
+        assert fld.slope(float(x)) == _array_slope_1d(fld, x), x
+    field2d = BumpField2D(peak=(4.0, -2.0), amplitude=2.5, wavelength=90.0)
+    for origin, direction, s_extra in (
+            ((-60.0, -2.0), (1.0, 0.0), 64.0),       # through the peak: r = 0
+            ((-40.0, 10.0), (0.6, 0.8), 0.0),
+            ((-30.0, 40.0), (1.0, 0.0), 0.0)):       # offset 42 < l/2
+        restr = field2d.along_line(np.array(origin), np.array(direction))
+        edges = [] if restr.support() is None else list(restr.support())
+        ss = np.concatenate([np.linspace(-20.0, 140.0, 321),
+                             [restr.s_peak, s_extra], edges])
+        ss = np.concatenate([ss, np.nextafter(ss, np.inf),
+                             np.nextafter(ss, -np.inf)])
+        for s in ss:
+            assert restr.slope(float(s)) == _array_slope_line(restr, s), s
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.floats(-60.0, 60.0), st.floats(0.0, 8.0), st.floats(10.0, 150.0),
+       st.floats(-120.0, 120.0), st.floats(0.0, 200.0))
+def test_arc_excess_equals_the_array_integrand_1d(peak, amp, wl, x0, width):
+    fld = BumpField1D(peak=peak, amplitude=amp, wavelength=wl)
+    expect = _array_arc_excess(lambda x: _array_slope_1d(fld, x),
+                               fld.support(), x0, x0 + width)
+    assert fld.arc_excess(x0, x0 + width) == expect
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+       st.floats(0.0, 8.0), st.floats(30.0, 150.0),
+       st.tuples(st.floats(-80.0, 80.0), st.floats(-80.0, 80.0)),
+       st.floats(0.0, 2.0 * math.pi), st.floats(10.0, 160.0))
+def test_arc_excess_equals_the_array_integrand_on_lines(peak, amp, wl, origin,
+                                                        angle, span):
+    fld = BumpField2D(peak=peak, amplitude=amp, wavelength=wl)
+    restr = fld.along_line(np.array(origin),
+                           np.array([math.cos(angle), math.sin(angle)]))
+    expect = _array_arc_excess(lambda s: _array_slope_line(restr, s),
+                               restr.support(), 0.0, span)
+    assert restr.arc_excess(0.0, span) == expect
+    assert restr.arc_excess(0.0, 0.5 * span) == _array_arc_excess(
+        lambda s: _array_slope_line(restr, s), restr.support(), 0.0,
+        0.5 * span)
 
 
 def test_bump1d_arc_excess_against_quadrature():

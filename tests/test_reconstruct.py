@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crslab import reconstruct
+from crslab import elastica, reconstruct
 from crslab.elastica import InfeasibleExcessError, solve_elastica_1d
 from crslab.fields import BumpField1D, BumpField2D, bump1d, make_lattice, sample_pixels
 from crslab.reconstruct import (
@@ -286,6 +286,75 @@ def test_crs_surface_from_state_equals_per_beam_solves(monkeypatch):
     for beam, ex, sol in zip(surf.beams, excess, surf.solutions):
         pins = np.column_stack([beam.stations, heights[beam.pixel_idx]])
         assert np.array_equal(sol.nodes, solve_elastica_1d(pins, ex).nodes)
+
+
+def _replay_state():
+    """A hex-19 display mid-press: pixel heights and beam excesses that the
+    solver meets warm, as a replay probe does."""
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    fld = BumpField2D(peak=(7.0, -4.0), amplitude=2.0, wavelength=90.0)
+    heights = 0.8 * sample_pixels(fld, lat)
+    excess = np.array([sol.excess for sol in CrsSurface2D(fld, lat).solutions])
+    return lat, fld, heights, excess
+
+
+def test_crs_surface_keeps_unchanged_beams(monkeypatch):
+    lat, fld, heights, excess = _replay_state()
+    first = CrsSurface2D.from_state(lat, heights, excess, hint_field=fld,
+                                    strict=False)
+    calls = _counting_solver(monkeypatch)
+    again = CrsSurface2D.from_state(lat, heights.copy(), excess.copy(),
+                                    hint_field=fld, previous=first,
+                                    strict=False)
+    assert calls == []
+    assert all(a is b for a, b in zip(again.solutions, first.solutions))
+
+
+def test_crs_surface_resolves_the_beams_through_a_moved_pixel(monkeypatch):
+    lat, fld, heights, excess = _replay_state()
+    first = CrsSurface2D.from_state(lat, heights, excess, hint_field=fld,
+                                    strict=False)
+    moved = heights.copy()
+    pixel = 9
+    moved[pixel] += 0.05
+    calls = _counting_solver(monkeypatch)
+    again = CrsSurface2D.from_state(lat, moved, excess, hint_field=fld,
+                                    previous=first, strict=False)
+    through = [i for i, b in enumerate(again.beams) if pixel in b.pixel_idx]
+    assert len(through) == 3
+    assert len(calls) == len(through)
+    for i, (old, new) in enumerate(zip(first.solutions, again.solutions)):
+        assert (old is new) == (i not in through), again.beams[i].name
+    # a re-solved beam is seeded with its previous nodes
+    for args, i in zip(calls, through):
+        beam = again.beams[i]
+        assert np.array_equal(args[0], np.column_stack(
+            [beam.stations, moved[beam.pixel_idx]]))
+        warm = solve_elastica_1d(args[0], excess[i], initial=(
+            first.solutions[i].nodes[:, 0], first.solutions[i].nodes[:, 1]))
+        assert np.array_equal(again.solutions[i].nodes, warm.nodes)
+
+
+def test_crs_surface_resolves_beams_that_did_not_converge(monkeypatch):
+    lat, fld, heights, excess = _replay_state()
+    with pytest.MonkeyPatch.context() as starved:
+        # one weak penalty step and no projection: the beams that need a
+        # real solve stop above tolerance
+        starved.setattr(elastica, "_MAX_ITER", 1)
+        starved.setattr(elastica, "_PENALTY_STAGES", (10.0,))
+        starved.setattr(elastica, "_PROJECTION_STEPS", 0)
+        first = CrsSurface2D.from_state(lat, heights, excess, hint_field=fld,
+                                        strict=False)
+    stopped = [i for i, sol in enumerate(first.solutions)
+               if sol.residual > elastica._TOL * first.beams[i].span]
+    assert stopped
+    calls = _counting_solver(monkeypatch)
+    again = CrsSurface2D.from_state(lat, heights, excess, hint_field=fld,
+                                    previous=first, strict=False)
+    assert len(calls) == len(stopped)
+    for i in stopped:
+        assert again.solutions[i] is not first.solutions[i]
+        assert again.solutions[i].residual <= elastica._TOL * again.beams[i].span
 
 
 def test_crs_surface_from_state_validates_excess_count():
