@@ -8,15 +8,20 @@ constraint, holds horizontal tangents at both ends (moveable clamps), and
 has total arc length span + excess_length.  Constraints are enforced by a
 quadratic penalty with an increasing weight schedule followed by a
 Gauss-Newton projection onto the constraint set.  Each penalty stage is a
-damped Gauss-Newton descent that evaluates only the objective at Armijo
-trial points and ends once a trial step's predicted decrease is roundoff.
+damped descent that evaluates only the objective at Armijo trial points
+and ends once a trial step's predicted decrease is roundoff.  The first
+stage, which leaves the seed and picks the branch, takes Gauss-Newton
+steps.  The stiffer stages after it take Newton steps: their model adds
+the diagonal of the constraint curvature to the Gauss-Newton Hessian, and
+is used only where an exact inertia test finds it positive definite;
+elsewhere the step is the Gauss-Newton one.
 
 The solver is deterministic: no randomness, a fixed schedule, and an
 internal rescaling to unit span so that geometrically similar problems
 produce identical iterates.  The schedule is three penalty stages of
-weight 1e3, 1e5 and 1e7, at most 60 Gauss-Newton steps each, then 6
-projection steps (12 from the fallback seed).  A solve converges when its
-worst violation is within 1e-6 of the span.
+weight 1e3, 1e5 and 1e7, at most 60 steps each, then 6 projection steps
+(12 from the fallback seed).  A solve converges when its worst violation
+is within 1e-6 of the span.
 """
 from __future__ import annotations
 
@@ -26,14 +31,13 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dgesv, dgtsv, dpttrf, dpttrs, dstebz
 
 
 # a predicted decrease below this fraction of |f| is roundoff in f
 _ROUNDOFF = 16.0 * np.finfo(float).eps
 _TOL = 1e-6                           # worst violation, relative to span
-_MAX_ITER = 60                        # Gauss-Newton steps per penalty stage
+_MAX_ITER = 60                        # Newton or Gauss-Newton steps per stage
 _PENALTY_STAGES = (1e3, 1e5, 1e7)
 _MAX_SEGMENTS = 2400
 _PROJECTION_STEPS = 6
@@ -115,6 +119,11 @@ class _Constraints:
         self._steps = np.empty((2, m))        # segment steps in x and y
         self._xy = np.zeros((2, m + 1))       # node coordinates
         self._r = np.empty(2 + 2 * k)
+        self._free = np.arange(m - 2)
+        # row 0 covers every free angle (the end rows), row 1 + k the free
+        # angles before pin k's station
+        self._before = np.ones((1 + k, m - 2))
+        self._w = np.empty((2, 1 + k))
         # row 0 is left for the caller's gradient, so that [g | J^T] is the
         # transpose of one block
         self._gj = np.empty((3 + 2 * k, m - 2))
@@ -150,48 +159,131 @@ class _Constraints:
         """[spare row; J] at the angles of the last residual call, with J
         taken with respect to the free angles theta[1:m-1]."""
         m, h, j = self.m, self.h, self._j
+        k = len(j)
         c, s = self._cs[0, 1:m - 1], self._cs[1, 1:m - 1]
-        gj = self._gj[:(3 if self._monotone else 3 + len(j)) + len(j)]
+        gj = self._gj[:(3 if self._monotone else 3 + k) + k]
         np.multiply(-h, s, out=gj[1])
         np.multiply(h, c, out=gj[2])
         # pin row k depends on the free angles before its station j[k],
         # which are the first j[k] - 1 (free angle i is angle i + 1)
+        before = self._before[1:]
+        np.less(self._free, np.maximum(j - 1, 0)[:, None], out=before)
         if self._monotone:
             t = self._t
-            x = self._xy[0]
-            on = (self.xs_c - x[j]) * (1.0 + t * t)
-            for row, jk, tk, onk in zip(gj[3:], j.tolist(), t, on):
-                n = max(jk - 1, 0)
-                np.multiply(tk, s[:n], out=row[:n])
-                row[:n] += c[:n]
-                row[:n] *= h
-                row[n:] = 0.0
-                if 1 <= jk <= m - 2:
-                    row[n] = onk
+            pins = gj[3:]
+            np.multiply(t[:, None], s, out=pins)
+            pins += c
+            pins *= h
+            pins *= before
+            self._on = on = (1 <= j) & (j <= m - 2)
+            self._own_at = j[on] - 1
+            self._own = ((self.xs_c - self._xy[0, j]) * (1.0 + t * t))[on]
+            pins[on, self._own_at] = self._own
         else:
-            for k, jk in enumerate(j.tolist()):
-                n = max(jk - 1, 0)
-                gj[3 + 2 * k:5 + 2 * k, :n] = gj[1:3, :n]
-                gj[3 + 2 * k:5 + 2 * k, n:] = 0.0
+            np.multiply(gj[1:3], before[:, None, :],
+                        out=gj[3:].reshape(k, 2, m - 2))
         return gj
 
+    def curvature(self, r: np.ndarray) -> np.ndarray:
+        """The diagonal of sum_i r_i * Hessian(r_i) over the free angles, at
+        the angles of the last jacobian call, without the coupling between
+        a pin's own angle and the angles before it.
 
-def _gn_stage(theta_free, rows, weight, chol, max_steps):
-    """Minimise bend + (weight/2)|r|^2 by damped Gauss-Newton.
+        Per row, the second derivatives are -h cos(theta_i) (end x) and
+        -h sin(theta_i) (end y) on every free angle; a vertical-intercept
+        pin row has h (t cos(theta_i) - sin(theta_i)) on the angles before
+        its station j and 2 (x_c - x_j) sec^2(theta_j) tan(theta_j) on its
+        own; a folded pin's x and y rows have the end rows' terms on the
+        angles before its station."""
+        m, k = self.m, len(self._j)
+        # (weights of the cos terms, of the sin terms) per row of _before,
+        # whose first row, all ones, holds the end rows
+        w = self._w[:, :k + 1]
+        if self._monotone:
+            w[0, 0], w[1, 0] = r[0], r[1]
+            np.multiply(r[2:], -self._t, out=w[0, 1:])
+            w[1, 1:] = r[2:]
+        else:
+            w[:, 0] = r[:2]
+            w[0, 1:] = r[2::2]
+            w[1, 1:] = r[3::2]
+        cs = w @ self._before[:k + 1]
+        cs *= self._cs[:, 1:m - 1]
+        out = cs[0] + cs[1]
+        out *= -self.h
+        if self._monotone:
+            np.add.at(out, self._own_at,
+                      2.0 * self._own * (self._t * r[2:])[self._on])
+        return out
 
-    The Hessian is approximated by H_bend + weight*J^T J; steps solve
-    (H + w J^T J) d = -g through the banded Cholesky factor of H_bend and
-    the Woodbury identity, so each step costs O(m * n_constraints).
+
+def _woodbury_step(sol, jac, weight, neg=0):
+    """The step -(T + w J^T J)^{-1} g, from sol = T^{-1} [g | J^T] by the
+    Woodbury identity with the k x k matrix S = I/w + J T^{-1} J^T.
+
+    neg is the number of eigenvalues of T at or below zero.  By Haynsworth
+    inertia additivity, T + w J^T J is positive definite exactly when neg
+    plus the number of positive eigenvalues of S is k; when neg > 0 and
+    the count falls short, None is returned."""
+    v, wt = sol[:, 0], sol[:, 1:]
+    small = jac @ wt
+    small.flat[::small.shape[0] + 1] += 1.0 / weight
+    if neg and neg + np.count_nonzero(np.linalg.eigvalsh(small) > 0.0) \
+            != small.shape[0]:
+        return None
+    return wt @ dgesv(small, jac @ v)[2] - v
+
+
+def _newton_step(gj, diag, off, weight):
+    """The step -(T' + w J^T J)^{-1} g for gj = [g; J] and the symmetric
+    tridiagonal T' (diagonal diag, off-diagonal off), or None when that
+    matrix is not positive definite."""
+    # Sturm count of the eigenvalues at or below zero; an infinite
+    # tolerance skips the bisection that would locate them
+    neg = dstebz(diag, off, 1, -np.inf, 0.0, 0, 0, np.inf, b"B")[0]
+    if neg > gj.shape[0] - 1:
+        return None
+    # LAPACK solves [g | J^T] in a Fortran-ordered copy
+    sol, info = dgtsv(off, diag, off, gj.T)[3:]
+    if info != 0:
+        return None
+    return _woodbury_step(sol, gj[1:], weight, neg)
+
+
+def _gn_stage(theta_free, rows, weight, bend_ldl, max_steps, newton):
+    """Minimise bend + (weight/2)|r|^2 by damped (Gauss-)Newton steps.
+
+    The Gauss-Newton model Hessian is H + w J^T J, with H the bending
+    Hessian (2/h) tridiag(-1, 2, -1); bend_ldl is its dpttrf factor, computed
+    once per solve.  That model drops the constraint curvature
+    w sum_i r_i Hess(r_i), which is of the size of the multipliers at a
+    penalty minimum, so Gauss-Newton converges only linearly in the stiff
+    stages (Nocedal & Wright, Numerical Optimization, 2nd ed., 17.1).  With
+    newton true, the model is T' + w J^T J instead, where T' is H plus the
+    diagonal of that curvature (_Constraints.curvature).  T' alone is often
+    indefinite, so the Newton step is taken only when T' + w J^T J is
+    positive definite: an exact inertia test from a Sturm count of T' and,
+    when T' is indefinite, the eigenvalues of a k x k matrix.  Otherwise
+    the step is the Gauss-Newton one.  Either step solves its model by the
+    Woodbury identity, a tridiagonal solve for [g | J^T] and a k x k solve
+    for the k constraint rows, so each costs O(m k).
+
+    The caller passes newton=False in the first stage, which starts from
+    the seed: Newton steps there can settle on the flat state of a beam
+    with all pins at one height so closely that the later stages no longer
+    leave it, which moves such beams to another branch.
+
     Armijo backtracking keeps the objective non-increasing.  Trial points
-    evaluate only f; the gradient and Jacobian are built at accepted points
-    alone.  The stage ends once a trial step's predicted decrease
-    -alpha g.d is roundoff in f (at most _ROUNDOFF |f|): there the Armijo
-    test compares rounding noise, and further halvings only spend
-    evaluations (Nocedal & Wright, Numerical Optimization, 2nd ed., 3.1).
+    evaluate only f; the gradient, Jacobian and curvature are built at
+    accepted points alone.  The stage ends once a trial step's predicted
+    decrease -alpha g.d is roundoff in f (at most _ROUNDOFF |f|): there the
+    Armijo test compares rounding noise, and further halvings only spend
+    evaluations (Nocedal & Wright, 3.1).
     """
     m, h = rows.m, rows.h
     th = np.zeros(m)
     dth = np.empty(m - 1)
+    off = np.full(m - 3, -2.0 / h)
     r = None
 
     def objective(tf):
@@ -203,28 +295,23 @@ def _gn_stage(theta_free, rows, weight, chol, max_steps):
         return float(dth @ dth) / h + 0.5 * weight * float(r @ r)
 
     def gradient():
-        """[g; J] at the last objective() point."""
+        """[g; J] and the diagonal of T' at the last objective() point."""
         gj = rows.jacobian()
         q = 2.0 * dth / h
         np.subtract(q[:-1], q[1:], out=gj[0])
         gj[0] += weight * (gj[1:].T @ r)
-        return gj
+        return gj, 4.0 / h + weight * rows.curvature(r)
 
     f = objective(theta_free)
-    gj = gradient()
+    gj, diag = gradient()
     trace = [f]
     for _ in range(max_steps):
         g, jac = gj[0], gj[1:]
         if np.max(np.abs(g)) < 1e-12:
             break
-        # Woodbury: (H + w J^T J)^{-1} g, one banded solve for [g | J^T],
-        # which LAPACK solves in a Fortran-ordered copy
-        sol, _info = dpbtrs(chol, gj.T)
-        v, wt = sol[:, 0], sol[:, 1:]
-        small = jac @ wt
-        small.flat[::small.shape[0] + 1] += 1.0 / weight
-        corr = wt @ np.linalg.solve(small, jac @ v)
-        step = -(v - corr)
+        step = _newton_step(gj, diag, off, weight) if newton else None
+        if step is None:
+            step = _woodbury_step(dpttrs(*bend_ldl, gj.T)[0], jac, weight)
         slope = float(g @ step)
         if slope >= 0.0:
             step = -g
@@ -238,7 +325,7 @@ def _gn_stage(theta_free, rows, weight, chol, max_steps):
             fc = objective(cand)
             if fc <= f + 1e-4 * alpha * slope:
                 theta_free, f = cand, fc
-                gj = gradient()
+                gj, diag = gradient()
                 trace.append(f)
                 break
             alpha *= 0.5
@@ -308,7 +395,7 @@ def _project(theta, rows, steps):
         jac = rows.jacobian()[1:]
         jjt = jac @ jac.T
         jjt.flat[::len(r) + 1] += 1e-12 * max(np.trace(jjt), 1e-30)
-        lam = np.linalg.solve(jjt, r)
+        lam = dgesv(jjt, r)[2]
         theta[1:rows.m - 1] -= jac.T @ lam
     r = rows.residual(theta)
     return theta, float(np.max(np.abs(r)))
@@ -319,12 +406,12 @@ def _point_polyline_distance(points, nodes) -> np.ndarray:
     a = nodes[:-1]
     ab = nodes[1:] - a
     denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
-    out = np.empty(len(points))
-    for i, p in enumerate(points):
-        t = np.clip(np.einsum("ij,ij->i", p - a, ab) / denom, 0.0, 1.0)
-        proj = a + t[:, None] * ab
-        out[i] = np.min(np.hypot(p[0] - proj[:, 0], p[1] - proj[:, 1]))
-    return out
+    # (points, segments): each point's projection onto every segment
+    t = np.clip(np.einsum("kij,ij->ki", points[:, None, :] - a, ab) / denom,
+                0.0, 1.0)
+    proj = a + t[:, :, None] * ab
+    return np.min(np.hypot(points[:, 0, None] - proj[:, :, 0],
+                           points[:, 1, None] - proj[:, :, 1]), axis=1)
 
 
 def normalize_beam(constraints: Sequence[Tuple[float, float]],
@@ -410,13 +497,10 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     theta_free = theta[1:m - 1].copy()
     # bending Hessian (2/h)*tridiag(-1, 2, -1) on the free angles, factored
     # once per solve and reused by every Gauss-Newton step
-    ab = np.zeros((2, m - 2))
-    ab[0, 1:] = -2.0 / h
-    ab[1, :] = 4.0 / h
-    chol = cholesky_banded(ab, lower=False)
-    for weight in _PENALTY_STAGES:
-        theta_free, trace = _gn_stage(theta_free, rows, weight, chol,
-                                      _MAX_ITER)
+    bend_ldl = dpttrf(np.full(m - 2, 4.0 / h), np.full(m - 3, -2.0 / h))[:2]
+    for stage, weight in enumerate(_PENALTY_STAGES):
+        theta_free, trace = _gn_stage(theta_free, rows, weight, bend_ldl,
+                                      _MAX_ITER, newton=stage > 0)
         n_iter += max(len(trace) - 1, 0)
         stage_objectives.append(trace)
 

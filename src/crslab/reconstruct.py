@@ -405,15 +405,15 @@ class CrsSurface2D:
             dists = np.column_stack([np.abs(rf - key0) * row,
                                      np.abs(qf - key1) * row,
                                      np.abs((qf + rf) - key2) * row])
-        # each bounding beam's own profile at the point's station on its line
+        # each bounding beam's own profile at the point's station on its
+        # line, one evaluation per beam over every point that it bounds
         vals = np.zeros(ids.shape)
-        for col in range(ids.shape[1]):
-            col_ids = ids[:, col]
-            for b in np.flatnonzero(np.bincount(col_ids[col_ids >= 0])):
-                sel = col_ids == b
-                beam = self.beams[b]
-                vals[sel, col] = self.solutions[b].profile(
-                    (p[sel] - beam.origin) @ beam.direction)
+        flat = ids.ravel()
+        for b in np.flatnonzero(np.bincount(flat[flat >= 0])):
+            sel = np.flatnonzero(flat == b)
+            beam = self.beams[b]
+            vals.flat[sel] = self.solutions[b].profile(
+                (p[sel // ids.shape[1]] - beam.origin) @ beam.direction)
         tol = 1e-9 * lat.pitch
         hit = dists <= tol
         any_hit = np.any(hit, axis=1)
