@@ -21,7 +21,8 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .control import (ServoSpec, SessionConfig, read_trace, run_session)
+from .control import (ServoSpec, SessionConfig, format_command_rows,
+                      read_trace, run_session)
 from .distortion import NoPeakError, SweepConfig, distortion_sweep, sweep_fits
 from .elastica import ElasticaError
 from .fields import BumpField1D, make_lattice
@@ -349,9 +350,8 @@ def cmd_replay(cfg: dict, out: str, trace_path: str) -> int:
                             log_every_ms=cfg["log_every_ms"])
     log = run_session(trace, session)
     text = _table("replay", cfg,
-                  ("t_ms", "channel", "commanded_mm", "actual_mm"),
-                  log.command_rows, None)
-    _write(text, out)
+                  ("t_ms", "channel", "commanded_mm", "actual_mm"), (), None)
+    _write(text + format_command_rows(log.command_rows), out)
 
     lags = [f.total_latency_ms for f in log.frames
             if f.total_latency_ms is not None]

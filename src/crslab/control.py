@@ -406,10 +406,14 @@ def write_trace(path: str, samples: Sequence[FingertipSample]) -> None:
                               for v in (s.t_ms, s.x_f, s.y_f, s.z_f)) + "\n")
 
 
+def format_command_rows(rows: Sequence[Tuple[float, str, float, float]]
+                        ) -> str:
+    """The CSV lines of (t_ms, channel, commanded_mm, actual_mm) rows, each
+    ending in LF, with every number in the .12g format."""
+    return "".join(map("%.12g,%s,%.12g,%.12g\n".__mod__, rows))
+
+
 def write_command_log(path: str, log: SessionLog) -> None:
     """Write the commanded-versus-actual time series of a session."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_LOG_HEADER + "\n")
-        for t, channel, cmd, actual in log.command_rows:
-            fh.write(f"{format(t, '.12g')},{channel},"
-                     f"{format(cmd, '.12g')},{format(actual, '.12g')}\n")
+        fh.write(_LOG_HEADER + "\n" + format_command_rows(log.command_rows))

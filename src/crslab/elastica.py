@@ -22,6 +22,11 @@ produce identical iterates.  The schedule is three penalty stages of
 weight 1e3, 1e5 and 1e7, at most 60 steps each, then 6 projection steps
 (12 from the fallback seed).  A solve converges when its worst violation
 is within 1e-6 of the span.
+
+A step works on a few hundred angles, so its cost is the number of NumPy
+and LAPACK calls it makes rather than their arithmetic.  A rewrite must
+keep every floating-point operation and its order: 2.0 * dth / h and
+(2.0 / h) * dth round differently, and the second moves most solves.
 """
 from __future__ import annotations
 
@@ -31,7 +36,8 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import PchipInterpolator
-from scipy.linalg.lapack import dgesv, dgtsv, dpttrf, dpttrs, dstebz
+from scipy.linalg.lapack import (dgesv, dgtsv, dpttrf, dpttrs, dstebz,
+                                  dsyevd)
 
 
 # a predicted decrease below this fraction of |f| is roundoff in f
@@ -102,7 +108,8 @@ class ElasticaSolution:
 
 class _Constraints:
     """The constraint residuals of one beam and their Jacobian with respect
-    to the free angles, built in buffers allocated once per solve.
+    to the free angles, built in buffers, and views of them, allocated once
+    per solve.
 
     Rows: far-end x gap, far-end y gap, then one vertical-intercept gap per
     interior constraint.  If the polyline transiently folds (x not strictly
@@ -116,72 +123,73 @@ class _Constraints:
         self.x_end, self.y_end = x_end, y_end
         k = len(xs_c)
         self._cs = np.empty((2, m))           # cos and sin of the angles
+        self._c, self._s = self._cs[:, 1:m - 1]   # ... of the free ones
         self._steps = np.empty((2, m))        # segment steps in x and y
         self._xy = np.zeros((2, m + 1))       # node coordinates
+        self._x, self._y = self._xy
+        self._end = np.array([x_end, y_end])
         self._r = np.empty(2 + 2 * k)
-        self._free = np.arange(m - 2)
+        self._r_mono = self._r[:2 + k]
+        self._fold_j = np.rint(xs_c / h).astype(int)
         # row 0 covers every free angle (the end rows), row 1 + k the free
-        # angles before pin k's station
+        # angles before pin k's station (free angle i is angle i + 1)
+        self._angle = np.arange(1, m - 1)
         self._before = np.ones((1 + k, m - 2))
         self._w = np.empty((2, 1 + k))
         # row 0 is left for the caller's gradient, so that [g | J^T] is the
         # transpose of one block
         self._gj = np.empty((3 + 2 * k, m - 2))
+        self._gj_mono = self._gj[:3 + k]
 
     def residual(self, theta: np.ndarray) -> np.ndarray:
         """r at the angles theta, a view that the next call overwrites."""
-        m, h, xs_c, ys_c = self.m, self.h, self.xs_c, self.ys_c
-        cs, xy = self._cs, self._xy
-        np.cos(theta, out=cs[0])
-        np.sin(theta, out=cs[1])
-        np.multiply(h, cs, out=self._steps)
-        np.cumsum(self._steps, axis=1, out=xy[:, 1:])
-        x, y = xy
-        # 0 = x[0] < xs_c < 1 <= m h, so every j below is a valid node index
+        m, xs_c, x, y, xy = self.m, self.xs_c, self._x, self._y, self._xy
+        np.cos(theta, out=self._cs[0])
+        np.sin(theta, out=self._cs[1])
+        np.multiply(self.h, self._cs, out=self._steps)
+        np.add.accumulate(self._steps, axis=1, out=xy[:, 1:])
         self._monotone = bool((x[1:] > x[:-1]).all())
         if self._monotone:
-            j = np.minimum(np.searchsorted(x, xs_c, side="right") - 1, m - 1)
-            self._t = np.tan(theta[j])
-            r = self._r[:2 + len(j)]
-            np.add(y[j], (xs_c - x[j]) * self._t, out=r[2:])
-            r[2:] -= ys_c
+            # 0 = x[0] < xs_c, so the station j of each pin is the number of
+            # nodes x[1:m] at or left of it
+            j = x[1:m].searchsorted(xs_c, "right")
+            self._t = t = np.tan(theta[j])
+            self._d = d = xs_c - x[j]
+            r = self._r_mono
+            np.add(y[j], d * t, out=r[2:])
+            r[2:] -= self.ys_c
         else:
-            j = np.rint(xs_c / h).astype(int)
-            r = self._r[:2 + 2 * len(j)]
+            j = self._fold_j
+            r = self._r
             np.subtract(x[j], xs_c, out=r[2::2])
-            np.subtract(y[j], ys_c, out=r[3::2])
-        r[0] = x[m] - self.x_end
-        r[1] = y[m] - self.y_end
+            np.subtract(y[j], self.ys_c, out=r[3::2])
+        np.subtract(xy[:, m], self._end, out=r[:2])
         self._j = j
         return r
 
     def jacobian(self) -> np.ndarray:
         """[spare row; J] at the angles of the last residual call, with J
-        taken with respect to the free angles theta[1:m-1]."""
-        m, h, j = self.m, self.h, self._j
-        k = len(j)
-        c, s = self._cs[0, 1:m - 1], self._cs[1, 1:m - 1]
-        gj = self._gj[:(3 if self._monotone else 3 + k) + k]
+        taken with respect to the free angles theta[1:m-1].  Pin row k
+        depends on the free angles before its station j[k], which are the
+        first j[k] - 1, and on its own angle theta[j[k]]."""
+        m, h, c, s = self.m, self.h, self._c, self._s
+        gj = self._gj_mono if self._monotone else self._gj
         np.multiply(-h, s, out=gj[1])
         np.multiply(h, c, out=gj[2])
-        # pin row k depends on the free angles before its station j[k],
-        # which are the first j[k] - 1 (free angle i is angle i + 1)
-        before = self._before[1:]
-        np.less(self._free, np.maximum(j - 1, 0)[:, None], out=before)
         if self._monotone:
-            t = self._t
             pins = gj[3:]
-            np.multiply(t[:, None], s, out=pins)
+            np.multiply(self._t[:, None], s, out=pins)
             pins += c
             pins *= h
-            pins *= before
-            self._on = on = (1 <= j) & (j <= m - 2)
-            self._own_at = j[on] - 1
-            self._own = ((self.xs_c - self._xy[0, j]) * (1.0 + t * t))[on]
-            pins[on, self._own_at] = self._own
+            for row, j, d, t in zip(pins, self._j, self._d, self._t):
+                row[j - 1 if j else 0:] = 0.0       # from the station on
+                if 0 < j < m - 1:                   # the own angle is free
+                    row[j - 1] = d * (1.0 + t * t)
         else:
-            np.multiply(gj[1:3], before[:, None, :],
-                        out=gj[3:].reshape(k, 2, m - 2))
+            pairs = gj[3:].reshape(-1, 2, m - 2)
+            pairs[:] = gj[1:3]
+            for pair, j in zip(pairs, self._j):
+                pair[:, j - 1 if j else 0:] = 0.0
         return gj
 
     def curvature(self, r: np.ndarray) -> np.ndarray:
@@ -195,25 +203,25 @@ class _Constraints:
         its station j and 2 (x_c - x_j) sec^2(theta_j) tan(theta_j) on its
         own; a folded pin's x and y rows have the end rows' terms on the
         angles before its station."""
-        m, k = self.m, len(self._j)
-        # (weights of the cos terms, of the sin terms) per row of _before,
+        m, w, before = self.m, self._w, self._before
+        # (weights of the cos terms, of the sin terms) per row of before,
         # whose first row, all ones, holds the end rows
-        w = self._w[:, :k + 1]
+        w[:, 0] = r[:2]
         if self._monotone:
-            w[0, 0], w[1, 0] = r[0], r[1]
             np.multiply(r[2:], -self._t, out=w[0, 1:])
             w[1, 1:] = r[2:]
         else:
-            w[:, 0] = r[:2]
             w[0, 1:] = r[2::2]
             w[1, 1:] = r[3::2]
-        cs = w @ self._before[:k + 1]
+        np.less(self._angle, self._j[:, None], out=before[1:])
+        cs = w @ before
         cs *= self._cs[:, 1:m - 1]
         out = cs[0] + cs[1]
         out *= -self.h
         if self._monotone:
-            np.add.at(out, self._own_at,
-                      2.0 * self._own * (self._t * r[2:])[self._on])
+            for j, d, t, rk in zip(self._j, self._d, self._t, r[2:]):
+                if 0 < j < m - 1:
+                    out[j - 1] += 2.0 * (d * (1.0 + t * t)) * (t * rk)
         return out
 
 
@@ -227,8 +235,9 @@ def _woodbury_step(sol, jac, weight, neg=0):
     the count falls short, None is returned."""
     v, wt = sol[:, 0], sol[:, 1:]
     small = jac @ wt
-    small.flat[::small.shape[0] + 1] += 1.0 / weight
-    if neg and neg + np.count_nonzero(np.linalg.eigvalsh(small) > 0.0) \
+    small.ravel()[::small.shape[0] + 1] += 1.0 / weight
+    # dsyevd on the lower triangle, as np.linalg.eigvalsh does it
+    if neg and neg + np.count_nonzero(dsyevd(small, 0, 1)[0] > 0.0) \
             != small.shape[0]:
         return None
     return wt @ dgesv(small, jac @ v)[2] - v
@@ -274,54 +283,62 @@ def _gn_stage(theta_free, rows, weight, bend_ldl, max_steps, newton):
     leave it, which moves such beams to another branch.
 
     Armijo backtracking keeps the objective non-increasing.  Trial points
-    evaluate only f; the gradient, Jacobian and curvature are built at
-    accepted points alone.  The stage ends once a trial step's predicted
+    evaluate only f; the gradient and Jacobian are built at accepted points
+    alone, and the curvature there only in a Newton stage, the one stage
+    kind that reads it.  The stage ends once a trial step's predicted
     decrease -alpha g.d is roundoff in f (at most _ROUNDOFF |f|): there the
     Armijo test compares rounding noise, and further halvings only spend
     evaluations (Nocedal & Wright, 3.1).
     """
     m, h = rows.m, rows.h
     th = np.zeros(m)
+    th_free, th_hi, th_lo = th[1:m - 1], th[1:], th[:-1]
     dth = np.empty(m - 1)
+    q = np.empty(m - 1)
+    q_lo, q_hi = q[:-1], q[1:]
     off = np.full(m - 3, -2.0 / h)
     r = None
 
     def objective(tf):
         """f at tf, which becomes the point that gradient() works at."""
         nonlocal r
-        th[1:m - 1] = tf
-        np.subtract(th[1:], th[:-1], out=dth)
+        th_free[:] = tf
+        np.subtract(th_hi, th_lo, out=dth)
         r = rows.residual(th)
         return float(dth @ dth) / h + 0.5 * weight * float(r @ r)
 
     def gradient():
-        """[g; J] and the diagonal of T' at the last objective() point."""
+        """[g; J] at the last objective() point, and the diagonal of T' in
+        a Newton stage (None in a Gauss-Newton one)."""
         gj = rows.jacobian()
-        q = 2.0 * dth / h
-        np.subtract(q[:-1], q[1:], out=gj[0])
+        np.multiply(2.0, dth, out=q)      # 2.0 * dth / h, in that order
+        np.divide(q, h, out=q)
+        np.subtract(q_lo, q_hi, out=gj[0])
         gj[0] += weight * (gj[1:].T @ r)
-        return gj, 4.0 / h + weight * rows.curvature(r)
+        return gj, 4.0 / h + weight * rows.curvature(r) if newton else None
 
     f = objective(theta_free)
     gj, diag = gradient()
     trace = [f]
     for _ in range(max_steps):
-        g, jac = gj[0], gj[1:]
-        if np.max(np.abs(g)) < 1e-12:
+        g = gj[0]
+        if np.maximum.reduce(abs(g)) < 1e-12:
             break
         step = _newton_step(gj, diag, off, weight) if newton else None
         if step is None:
-            step = _woodbury_step(dpttrs(*bend_ldl, gj.T)[0], jac, weight)
+            step = _woodbury_step(dpttrs(*bend_ldl, gj.T)[0], gj[1:], weight)
         slope = float(g @ step)
         if slope >= 0.0:
             step = -g
             slope = float(g @ step)
-        # Armijo backtracking on the penalised objective
+        # Armijo backtracking on the penalised objective, f >= 0
         alpha = 1.0
         for _bt in range(30):
-            if -alpha * slope <= _ROUNDOFF * abs(f):
+            if -alpha * slope <= _ROUNDOFF * f:
                 return theta_free, trace
-            cand = np.minimum(np.maximum(theta_free + alpha * step, -1.45), 1.45)
+            cand = alpha * step
+            cand += theta_free
+            np.minimum(np.maximum(cand, -1.45, out=cand), 1.45, out=cand)
             fc = objective(cand)
             if fc <= f + 1e-4 * alpha * slope:
                 theta_free, f = cand, fc
@@ -331,7 +348,7 @@ def _gn_stage(theta_free, rows, weight, bend_ldl, max_steps, newton):
             alpha *= 0.5
         else:
             break
-        if trace[-2] - trace[-1] <= 1e-15 * max(abs(trace[-1]), 1e-30):
+        if trace[-2] - f <= 1e-15 * max(f, 1e-30):
             break
     return theta_free, trace
 
@@ -358,13 +375,18 @@ def _initial_angles(con, m, total_len, initial):
             py = PchipInterpolator(xs, ys)(px)
         else:
             py = np.interp(px, xs, ys)
-    seg = np.hypot(np.diff(px), np.diff(py))
-    s_cum = np.concatenate([[0.0], np.cumsum(seg)])
-    length = s_cum[-1]
-    deficit = total_len - length
+
+    def arc(py):
+        """The arc length from the start at every point of (px, py)."""
+        s = np.zeros(len(px))
+        np.hypot(px[1:] - px[:-1], py[1:] - py[:-1]).cumsum(out=s[1:])
+        return s
+
+    s_cum = arc(py)
+    deficit = total_len - s_cum[-1]
     if deficit > 1e-12 * total_len:
-        gaps = np.diff(xs)
-        shares = deficit * gaps / float(np.sum(gaps))
+        gaps = xs[1:] - xs[:-1]
+        shares = deficit * gaps / float(gaps.sum())
         bump = np.zeros_like(px)
         for i, (x0, width, share) in enumerate(zip(xs[:-1], gaps, shares)):
             amp = (2.0 / math.pi) * math.sqrt(max(width * share, 0.0))
@@ -372,13 +394,11 @@ def _initial_angles(con, m, total_len, initial):
             u = np.clip((px - x0) / width, 0.0, 1.0)
             bump += sign * 0.5 * amp * (1.0 - np.cos(2.0 * math.pi * u))
         py = py + bump
-        seg = np.hypot(np.diff(px), np.diff(py))
-        s_cum = np.concatenate([[0.0], np.cumsum(seg)])
-        length = s_cum[-1]
-    stations = np.linspace(0.0, length, m + 1)
+        s_cum = arc(py)
+    stations = np.linspace(0.0, s_cum[-1], m + 1)
     rx = np.interp(stations, s_cum, px)
     ry = np.interp(stations, s_cum, py)
-    theta = np.arctan2(np.diff(ry), np.diff(rx))
+    theta = np.arctan2(ry[1:] - ry[:-1], rx[1:] - rx[:-1])
     theta[0] = 0.0
     theta[-1] = 0.0
     return theta
@@ -388,30 +408,30 @@ def _project(theta, rows, steps):
     """Gauss-Newton projection onto the constraint set (minimum-norm
     steps).  Returns the projected angles and the final max |residual|."""
     theta = theta.copy()
+    free = theta[1:rows.m - 1]
     for _ in range(steps):
         r = rows.residual(theta)
-        if np.max(np.abs(r)) < 1e-13:
+        if abs(r).max() < 1e-13:
             break
         jac = rows.jacobian()[1:]
         jjt = jac @ jac.T
-        jjt.flat[::len(r) + 1] += 1e-12 * max(np.trace(jjt), 1e-30)
-        lam = dgesv(jjt, r)[2]
-        theta[1:rows.m - 1] -= jac.T @ lam
-    r = rows.residual(theta)
-    return theta, float(np.max(np.abs(r)))
+        jjt.ravel()[::len(r) + 1] += 1e-12 * max(jjt.trace(), 1e-30)
+        free -= jac.T @ dgesv(jjt, r)[2]
+    return theta, float(abs(rows.residual(theta)).max())
 
 
 def _point_polyline_distance(points, nodes) -> np.ndarray:
     """Distance from each point to the polyline (min over segments)."""
-    a = nodes[:-1]
-    ab = nodes[1:] - a
-    denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+    (ax, ay), (bx, by) = nodes[:-1].T, nodes[1:].T
+    abx, aby = bx - ax, by - ay
+    denom = np.maximum(abx * abx + aby * aby, 1e-300)
     # (points, segments): each point's projection onto every segment
-    t = np.clip(np.einsum("kij,ij->ki", points[:, None, :] - a, ab) / denom,
-                0.0, 1.0)
-    proj = a + t[:, :, None] * ab
-    return np.min(np.hypot(points[:, 0, None] - proj[:, :, 0],
-                           points[:, 1, None] - proj[:, :, 1]), axis=1)
+    px, py = points[:, :1], points[:, 1:]
+    t = (px - ax) * abx
+    t += (py - ay) * aby
+    t /= denom
+    np.clip(t, 0.0, 1.0, out=t)
+    return np.hypot(px - (ax + t * abx), py - (ay + t * aby)).min(axis=1)
 
 
 def normalize_beam(constraints: Sequence[Tuple[float, float]],
@@ -427,7 +447,7 @@ def normalize_beam(constraints: Sequence[Tuple[float, float]],
     con = np.asarray(constraints, dtype=float)
     if con.ndim != 2 or con.shape[1] != 2 or con.shape[0] < 2:
         raise ValueError("need at least two (x, y) constraints")
-    if np.any(np.diff(con[:, 0]) <= 0.0):
+    if (con[1:, 0] - con[:-1, 0] <= 0.0).any():
         raise ValueError("constraints must be sorted by strictly increasing x")
     if not np.isfinite(excess_length) or excess_length < 0.0:
         raise ValueError("excess_length must be finite and >= 0")
@@ -437,8 +457,9 @@ def normalize_beam(constraints: Sequence[Tuple[float, float]],
     conn = (con - origin) / scale
     exn = excess_length / scale
     total = 1.0 + exn
-    chords = float(np.sum(np.hypot(np.diff(conn[:, 0]), np.diff(conn[:, 1]))))
-    flat = bool(np.all(np.abs(conn[:, 1]) <= 1e-14))
+    dx, dy = (conn[1:] - conn[:-1]).T
+    chords = float(np.hypot(dx, dy).sum())
+    flat = bool((abs(conn[:, 1]) <= 1e-14).all())
     if total < chords * (1.0 - 1e-12) or (not flat and total <= chords):
         raise InfeasibleExcessError("infeasible excess")
     return conn, origin, scale, exn, flat
@@ -519,16 +540,17 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
         if worst_fb < worst:
             theta, worst = theta_fb, worst_fb
 
-    x = np.concatenate([[0.0], np.cumsum(h * np.cos(theta))])
-    y = np.concatenate([[0.0], np.cumsum(h * np.sin(theta))])
-    nodes_n = np.column_stack([x, y])
+    nodes_n = np.zeros((m + 1, 2))
+    (h * np.column_stack([np.cos(theta), np.sin(theta)])).cumsum(
+        axis=0, out=nodes_n[1:])
 
-    dth = np.diff(theta)
+    dth = theta[1:] - theta[:-1]
     energy_n = float(dth @ dth) / h
 
-    worst = float(np.hypot(x[-1] - x_end, y[-1] - y_end))
+    x_last, y_last = nodes_n[m]
+    worst = float(np.hypot(x_last - x_end, y_last - y_end))
     if len(xs_c):
-        worst = max(float(np.max(_point_polyline_distance(conn[1:-1], nodes_n))),
+        worst = max(float(_point_polyline_distance(conn[1:-1], nodes_n).max()),
                     worst)
 
     nodes = nodes_n * scale + origin

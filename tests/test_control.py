@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
+from crslab.cli import _fmt
 from crslab.control import (
     CompressionPlan,
     FingertipSample,
     ServoSpec,
     SessionConfig,
     compression_plan,
+    format_command_rows,
     pixel_commands,
     read_trace,
     render_target,
@@ -281,6 +285,23 @@ def test_session_determinism():
             assert (fa.peak_location is None) == (fb.peak_location is None)
             if fa.peak_location is not None:
                 assert np.array_equal(fa.peak_location, fb.peak_location)
+
+
+_cells = st.one_of(
+    st.floats(),
+    st.sampled_from([-0.0, 0.0, 5e-324, -2.2250738585072e-308, 1e300,
+                     -1e300, 1e-300, -1e-300]),
+    st.integers(-10**15, 10**15).map(float))
+
+
+@example(rows=[(0.0, "p0", -0.0, 5e-324), (72.0, "b3-lo", 1e300, -1e-300)])
+@given(rows=st.lists(st.tuples(_cells, st.sampled_from(["p0", "b3-lo"]),
+                               _cells, _cells), max_size=8))
+def test_command_rows_format_as_csv_cells(rows):
+    # the replay CSV and write_command_log format rows as _fmt formats
+    # every other CSV cell
+    want = "".join(",".join(_fmt(v) for v in row) + "\n" for row in rows)
+    assert format_command_rows(rows) == want
 
 
 def test_command_log_format(tmp_path):

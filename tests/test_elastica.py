@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy.interpolate import PchipInterpolator
 from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dgesv, dgtsv, dpbtrs, dpttrf, dpttrs, dstebz
 
 from crslab import elastica
 from crslab.elastica import (
@@ -272,11 +273,11 @@ def test_hint_curve_reaches_same_solution():
 
 
 @st.composite
-def _pinned_beam(draw):
-    """3 to 6 pins 20-40 mm apart at heights 0-5 mm, and an excess that
-    exceeds the chord polyline's by 0.05-3 mm (a smaller surplus over
+def _pinned_beam(draw, max_pins=6):
+    """3 to max_pins pins 20-40 mm apart at heights 0-5 mm, and an excess
+    that exceeds the chord polyline's by 0.05-3 mm (a smaller surplus over
     uneven pins is a known failure: see the xfail below)."""
-    n = draw(st.integers(3, 6))
+    n = draw(st.integers(3, max_pins))
     gaps = draw(st.lists(st.floats(20.0, 40.0), min_size=n - 1,
                          max_size=n - 1))
     xs = np.concatenate([[0.0], np.cumsum(gaps)])
@@ -514,6 +515,355 @@ def test_newton_solves_stay_near_the_reference(case, more, lift):
     warm = _warm_case(con, excess, span, cold, more, lift)
     assert _near_or_lower(_solve_or_best(*warm), _reference_solve(*warm),
                           span)
+
+
+# The solver's step as it stood before it was cut to fewer NumPy calls per
+# step: the same floating-point operations in the same order, spelled with
+# masks, fancy indexing and the NumPy wrapper functions.  Every stage,
+# projection and whole solve must match it bit for bit.
+
+class _RefConstraints:
+    """elastica._Constraints, built with masks and fancy indexing."""
+
+    def __init__(self, m, h, xs_c, ys_c, x_end, y_end):
+        self.m, self.h = m, h
+        self.xs_c, self.ys_c = xs_c, ys_c
+        self.x_end, self.y_end = x_end, y_end
+        k = len(xs_c)
+        self._cs = np.empty((2, m))           # cos and sin of the angles
+        self._steps = np.empty((2, m))        # segment steps in x and y
+        self._xy = np.zeros((2, m + 1))       # node coordinates
+        self._r = np.empty(2 + 2 * k)
+        self._free = np.arange(m - 2)
+        # row 0 covers every free angle (the end rows), row 1 + k the free
+        # angles before pin k's station
+        self._before = np.ones((1 + k, m - 2))
+        self._w = np.empty((2, 1 + k))
+        # row 0 is left for the caller's gradient, so that [g | J^T] is the
+        # transpose of one block
+        self._gj = np.empty((3 + 2 * k, m - 2))
+
+    def residual(self, theta: np.ndarray) -> np.ndarray:
+        m, h, xs_c, ys_c = self.m, self.h, self.xs_c, self.ys_c
+        cs, xy = self._cs, self._xy
+        np.cos(theta, out=cs[0])
+        np.sin(theta, out=cs[1])
+        np.multiply(h, cs, out=self._steps)
+        np.cumsum(self._steps, axis=1, out=xy[:, 1:])
+        x, y = xy
+        # 0 = x[0] < xs_c < 1 <= m h, so every j below is a valid node index
+        self._monotone = bool((x[1:] > x[:-1]).all())
+        if self._monotone:
+            j = np.minimum(np.searchsorted(x, xs_c, side="right") - 1, m - 1)
+            self._t = np.tan(theta[j])
+            r = self._r[:2 + len(j)]
+            np.add(y[j], (xs_c - x[j]) * self._t, out=r[2:])
+            r[2:] -= ys_c
+        else:
+            j = np.rint(xs_c / h).astype(int)
+            r = self._r[:2 + 2 * len(j)]
+            np.subtract(x[j], xs_c, out=r[2::2])
+            np.subtract(y[j], ys_c, out=r[3::2])
+        r[0] = x[m] - self.x_end
+        r[1] = y[m] - self.y_end
+        self._j = j
+        return r
+
+    def jacobian(self) -> np.ndarray:
+        m, h, j = self.m, self.h, self._j
+        k = len(j)
+        c, s = self._cs[0, 1:m - 1], self._cs[1, 1:m - 1]
+        gj = self._gj[:(3 if self._monotone else 3 + k) + k]
+        np.multiply(-h, s, out=gj[1])
+        np.multiply(h, c, out=gj[2])
+        # pin row k depends on the free angles before its station j[k],
+        # which are the first j[k] - 1 (free angle i is angle i + 1)
+        before = self._before[1:]
+        np.less(self._free, np.maximum(j - 1, 0)[:, None], out=before)
+        if self._monotone:
+            t = self._t
+            pins = gj[3:]
+            np.multiply(t[:, None], s, out=pins)
+            pins += c
+            pins *= h
+            pins *= before
+            self._on = on = (1 <= j) & (j <= m - 2)
+            self._own_at = j[on] - 1
+            self._own = ((self.xs_c - self._xy[0, j]) * (1.0 + t * t))[on]
+            pins[on, self._own_at] = self._own
+        else:
+            np.multiply(gj[1:3], before[:, None, :],
+                        out=gj[3:].reshape(k, 2, m - 2))
+        return gj
+
+    def curvature(self, r: np.ndarray) -> np.ndarray:
+        m, k = self.m, len(self._j)
+        # (weights of the cos terms, of the sin terms) per row of _before,
+        # whose first row, all ones, holds the end rows
+        w = self._w[:, :k + 1]
+        if self._monotone:
+            w[0, 0], w[1, 0] = r[0], r[1]
+            np.multiply(r[2:], -self._t, out=w[0, 1:])
+            w[1, 1:] = r[2:]
+        else:
+            w[:, 0] = r[:2]
+            w[0, 1:] = r[2::2]
+            w[1, 1:] = r[3::2]
+        cs = w @ self._before[:k + 1]
+        cs *= self._cs[:, 1:m - 1]
+        out = cs[0] + cs[1]
+        out *= -self.h
+        if self._monotone:
+            np.add.at(out, self._own_at,
+                      2.0 * self._own * (self._t * r[2:])[self._on])
+        return out
+
+
+def _ref_woodbury_step(sol, jac, weight, neg=0):
+    v, wt = sol[:, 0], sol[:, 1:]
+    small = jac @ wt
+    small.flat[::small.shape[0] + 1] += 1.0 / weight
+    if neg and neg + np.count_nonzero(np.linalg.eigvalsh(small) > 0.0) \
+            != small.shape[0]:
+        return None
+    return wt @ dgesv(small, jac @ v)[2] - v
+
+
+def _ref_newton_step(gj, diag, off, weight):
+    # Sturm count of the eigenvalues at or below zero; an infinite
+    # tolerance skips the bisection that would locate them
+    neg = dstebz(diag, off, 1, -np.inf, 0.0, 0, 0, np.inf, b"B")[0]
+    if neg > gj.shape[0] - 1:
+        return None
+    # LAPACK solves [g | J^T] in a Fortran-ordered copy
+    sol, info = dgtsv(off, diag, off, gj.T)[3:]
+    if info != 0:
+        return None
+    return _ref_woodbury_step(sol, gj[1:], weight, neg)
+
+
+def _ref_gn_stage(theta_free, rows, weight, bend_ldl, max_steps, newton):
+    m, h = rows.m, rows.h
+    th = np.zeros(m)
+    dth = np.empty(m - 1)
+    off = np.full(m - 3, -2.0 / h)
+    r = None
+
+    def objective(tf):
+        nonlocal r
+        th[1:m - 1] = tf
+        np.subtract(th[1:], th[:-1], out=dth)
+        r = rows.residual(th)
+        return float(dth @ dth) / h + 0.5 * weight * float(r @ r)
+
+    def gradient():
+        gj = rows.jacobian()
+        q = 2.0 * dth / h
+        np.subtract(q[:-1], q[1:], out=gj[0])
+        gj[0] += weight * (gj[1:].T @ r)
+        return gj, 4.0 / h + weight * rows.curvature(r)
+
+    f = objective(theta_free)
+    gj, diag = gradient()
+    trace = [f]
+    for _ in range(max_steps):
+        g, jac = gj[0], gj[1:]
+        if np.max(np.abs(g)) < 1e-12:
+            break
+        step = _ref_newton_step(gj, diag, off, weight) if newton else None
+        if step is None:
+            step = _ref_woodbury_step(dpttrs(*bend_ldl, gj.T)[0], jac, weight)
+        slope = float(g @ step)
+        if slope >= 0.0:
+            step = -g
+            slope = float(g @ step)
+        # Armijo backtracking on the penalised objective
+        alpha = 1.0
+        for _bt in range(30):
+            if -alpha * slope <= elastica._ROUNDOFF * abs(f):
+                return theta_free, trace
+            cand = np.minimum(np.maximum(theta_free + alpha * step, -1.45), 1.45)
+            fc = objective(cand)
+            if fc <= f + 1e-4 * alpha * slope:
+                theta_free, f = cand, fc
+                gj, diag = gradient()
+                trace.append(f)
+                break
+            alpha *= 0.5
+        else:
+            break
+        if trace[-2] - trace[-1] <= 1e-15 * max(abs(trace[-1]), 1e-30):
+            break
+    return theta_free, trace
+
+
+def _ref_initial_angles(con, m, total_len, initial):
+    xs = con[:, 0]
+    if initial is not None:
+        px, py = np.asarray(initial[0], float), np.asarray(initial[1], float)
+    else:
+        ys = con[:, 1]
+        px = np.linspace(xs[0], xs[-1], 16 * m + 1)
+        if len(xs) > 3:
+            py = PchipInterpolator(xs, ys)(px)
+        else:
+            py = np.interp(px, xs, ys)
+    seg = np.hypot(np.diff(px), np.diff(py))
+    s_cum = np.concatenate([[0.0], np.cumsum(seg)])
+    length = s_cum[-1]
+    deficit = total_len - length
+    if deficit > 1e-12 * total_len:
+        gaps = np.diff(xs)
+        shares = deficit * gaps / float(np.sum(gaps))
+        bump = np.zeros_like(px)
+        for i, (x0, width, share) in enumerate(zip(xs[:-1], gaps, shares)):
+            amp = (2.0 / math.pi) * math.sqrt(max(width * share, 0.0))
+            sign = 1.0 if i % 2 == 0 else -1.0
+            u = np.clip((px - x0) / width, 0.0, 1.0)
+            bump += sign * 0.5 * amp * (1.0 - np.cos(2.0 * math.pi * u))
+        py = py + bump
+        seg = np.hypot(np.diff(px), np.diff(py))
+        s_cum = np.concatenate([[0.0], np.cumsum(seg)])
+        length = s_cum[-1]
+    stations = np.linspace(0.0, length, m + 1)
+    rx = np.interp(stations, s_cum, px)
+    ry = np.interp(stations, s_cum, py)
+    theta = np.arctan2(np.diff(ry), np.diff(rx))
+    theta[0] = 0.0
+    theta[-1] = 0.0
+    return theta
+
+
+def _ref_project(theta, rows, steps):
+    theta = theta.copy()
+    for _ in range(steps):
+        r = rows.residual(theta)
+        if np.max(np.abs(r)) < 1e-13:
+            break
+        jac = rows.jacobian()[1:]
+        jjt = jac @ jac.T
+        jjt.flat[::len(r) + 1] += 1e-12 * max(np.trace(jjt), 1e-30)
+        lam = dgesv(jjt, r)[2]
+        theta[1:rows.m - 1] -= jac.T @ lam
+    r = rows.residual(theta)
+    return theta, float(np.max(np.abs(r)))
+
+
+def _ref_point_polyline_distance(points, nodes) -> np.ndarray:
+    a = nodes[:-1]
+    ab = nodes[1:] - a
+    denom = np.maximum(np.einsum("ij,ij->i", ab, ab), 1e-300)
+    # (points, segments): each point's projection onto every segment
+    t = np.clip(np.einsum("kij,ij->ki", points[:, None, :] - a, ab) / denom,
+                0.0, 1.0)
+    proj = a + t[:, :, None] * ab
+    return np.min(np.hypot(points[:, 0, None] - proj[:, :, 0],
+                           points[:, 1, None] - proj[:, :, 1]), axis=1)
+
+
+def _ref_solve(constraints, excess_length, initial):
+    """solve_elastica_1d on the reference pieces, for beams with an arc
+    surplus.  Returns the solution and whether it converged."""
+    conn, origin, scale, exn, flat = elastica.normalize_beam(constraints,
+                                                             excess_length)
+    assert exn > 1e-14
+    total = 1.0 + exn
+    m = max(min(64 * (conn.shape[0] - 1), elastica._MAX_SEGMENTS), 128)
+    h = total / m
+    if initial is not None:
+        initial = ((np.asarray(initial[0], float) - origin[0]) / scale,
+                   (np.asarray(initial[1], float) - origin[1]) / scale)
+    theta = _ref_initial_angles(conn, m, total, initial)
+    xs_c = conn[1:-1, 0]
+    x_end, y_end = conn[-1]
+    rows = _RefConstraints(m, h, xs_c, conn[1:-1, 1], x_end, y_end)
+    stage_objectives, n_iter = [], 0
+    theta_free = theta[1:m - 1].copy()
+    bend_ldl = dpttrf(np.full(m - 2, 4.0 / h), np.full(m - 3, -2.0 / h))[:2]
+    for stage, weight in enumerate(elastica._PENALTY_STAGES):
+        theta_free, trace = _ref_gn_stage(theta_free, rows, weight, bend_ldl,
+                                          elastica._MAX_ITER, stage > 0)
+        n_iter += max(len(trace) - 1, 0)
+        stage_objectives.append(trace)
+    theta = np.zeros(m)
+    theta[1:m - 1] = theta_free
+    theta, worst = _ref_project(theta, rows, elastica._PROJECTION_STEPS)
+    if worst > elastica._TOL:
+        theta_fb = _ref_initial_angles(conn, m, total, None)
+        theta_fb, worst_fb = _ref_project(theta_fb, rows,
+                                          2 * elastica._PROJECTION_STEPS)
+        if worst_fb < worst:
+            theta, worst = theta_fb, worst_fb
+    x = np.concatenate([[0.0], np.cumsum(h * np.cos(theta))])
+    y = np.concatenate([[0.0], np.cumsum(h * np.sin(theta))])
+    nodes_n = np.column_stack([x, y])
+    dth = np.diff(theta)
+    worst = float(np.hypot(x[-1] - x_end, y[-1] - y_end))
+    if len(xs_c):
+        worst = max(float(np.max(_ref_point_polyline_distance(conn[1:-1],
+                                                              nodes_n))),
+                    worst)
+    return elastica.ElasticaSolution(
+        nodes_n * scale + origin, h * scale, float(dth @ dth) / h / scale,
+        excess_length, worst * scale, stage_objectives,
+        n_iter), worst <= elastica._TOL
+
+
+def _solve_and_flag(con, excess, initial):
+    try:
+        return solve_elastica_1d(con, excess, initial=initial), True
+    except ElasticaConvergenceError as err:
+        return err.solution, False
+
+
+def _assert_bitwise_equal(got, ref):
+    (sol, ok), (want, want_ok) = got, ref
+    assert np.array_equal(sol.nodes, want.nodes)
+    assert sol.n_iterations == want.n_iterations
+    assert sol.stage_objectives == want.stage_objectives
+    assert sol.residual == want.residual
+    assert sol.energy == want.energy
+    assert ok == want_ok
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=_pinned_beam(max_pins=12), more=st.floats(0.0, 0.3),
+       lift=st.floats(-0.3, 0.3))
+def test_solves_match_the_reference_step_bit_for_bit(case, more, lift):
+    # a cold solve, then the next replay probe warm-started from it: each
+    # runs Gauss-Newton steps in stage 1 and Newton steps after it
+    con, excess, span = case
+    cold = _solve_and_flag(con, excess, None)
+    _assert_bitwise_equal(cold, _ref_solve(con, excess, None))
+    warm = _warm_case(con, excess, span, cold[0], more, lift)
+    _assert_bitwise_equal(_solve_and_flag(*warm), _ref_solve(*warm))
+
+
+@settings(deadline=None, max_examples=40)
+@given(case=_pinned_beam(max_pins=12), newton=st.booleans(),
+       fold=st.booleans())
+def test_stages_and_projections_match_the_reference_bit_for_bit(case, newton,
+                                                                fold):
+    # one stage of either step kind, and one projection, from the cold seed
+    # or from the seed with a stretch folded back
+    con, excess, _ = case
+    conn, _, _, exn, _ = elastica.normalize_beam(con, excess)
+    m = 64 * (len(con) - 1)
+    h = (1.0 + exn) / m
+    theta = elastica._initial_angles(conn, m, 1.0 + exn, None)
+    if fold:
+        theta[m // 3:m // 3 + 3] = 2.0
+    args = (m, h, conn[1:-1, 0], conn[1:-1, 1], *conn[-1])
+    bend_ldl = dpttrf(np.full(m - 2, 4.0 / h), np.full(m - 3, -2.0 / h))[:2]
+    weight = 1e5 if newton else 1e3
+    got = elastica._gn_stage(theta[1:m - 1].copy(), elastica._Constraints(*args),
+                             weight, bend_ldl, elastica._MAX_ITER, newton)
+    want = _ref_gn_stage(theta[1:m - 1].copy(), _RefConstraints(*args), weight,
+                         bend_ldl, elastica._MAX_ITER, newton)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
+    got = elastica._project(theta, elastica._Constraints(*args), 6)
+    want = _ref_project(theta, _RefConstraints(*args), 6)
+    assert np.array_equal(got[0], want[0]) and got[1] == want[1]
 
 
 @pytest.mark.xfail(strict=True, raises=ElasticaConvergenceError,
