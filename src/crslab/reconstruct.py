@@ -11,15 +11,18 @@ Three families, mirroring the three interpixel connection types:
   elastic beams pinned to the pixels and end-compressed by the arc-length
   excess of the target shape, solved as constrained elasticas.
 
-All profile objects are callables over positions.  ``extended`` evaluates
-with zero outside the display hull, which is the convention the distortion
-metrics integrate under.
+Every model keeps one evaluation contract.  Calling it evaluates points
+that the caller has already put in the display hull, as ``Lattice.contains``
+judges them, and tests nothing itself; what it returns elsewhere is
+unspecified.  ``extended`` takes any points and is zero outside the hull,
+which is the convention the distortion metrics integrate under; one shared
+function implements it for every model.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 import numpy as np
 
@@ -42,6 +45,13 @@ class ReconstructionModel:
             raise ValueError(f"unknown model variant: {self.variant!r}")
 
 
+def _extended(self, *point):
+    """The model at any points: its value at points in the hull, as
+    ``Lattice.contains`` judges them, and 0.0 at every other point."""
+    p = _pack_points(point, self.lattice.ndim)
+    return np.where(self.lattice.contains(p), self(p), 0.0)
+
+
 # ======================================================================
 # zero-order hold
 # ======================================================================
@@ -56,13 +66,12 @@ class NearestProfile:
         self.lattice = lattice
 
     def __call__(self, *point):
+        """Heights at points that the caller has put in the hull; no hull
+        test (see the module docstring)."""
         p = _pack_points(point, self.lattice.ndim)
         return self.heights[self.lattice.nearest_index(p)]
 
-    def extended(self, *point):
-        p = _pack_points(point, self.lattice.ndim)
-        vals = self.heights[self.lattice.nearest_index(p)]
-        return np.where(self.lattice.contains(p), vals, 0.0)
+    extended = _extended
 
 
 # ======================================================================
@@ -81,16 +90,12 @@ class LinearProfile1D:
         self.lattice = lattice
 
     def __call__(self, x):
+        """Heights at positions that the caller has put in the hull; no hull
+        test (see the module docstring)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        if not np.all(self.lattice.contains(x)):
-            raise ValueError("extrapolation not defined")
         return np.interp(x, self.lattice.positions, self.heights)
 
-    def extended(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        inside = self.lattice.contains(x)
-        vals = np.interp(x, self.lattice.positions, self.heights)
-        return np.where(inside, vals, 0.0)
+    extended = _extended
 
 
 class LinearSurface2D:
@@ -110,27 +115,16 @@ class LinearSurface2D:
         self.lattice = lattice
 
     def __call__(self, *point):
+        """Heights at points that the caller has put in the hull; no hull
+        test (see the module docstring)."""
         p = _pack_points(point, 2)
-        vals, ok = self._interp(p)
-        if not np.all(ok):
-            raise ValueError("extrapolation not defined")
-        return vals
+        if self.lattice.kind == "square":
+            return self._interp_square(p)
+        return self._interp_hex(p)
 
-    def extended(self, *point):
-        p = _pack_points(point, 2)
-        vals, ok = self._interp(p)
-        return np.where(ok, vals, 0.0)
+    extended = _extended
 
     # ------------------------------------------------------------------
-
-    def _interp(self, p: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        lat = self.lattice
-        inside = lat.contains(p)
-        if lat.kind == "square":
-            vals = self._interp_square(p)
-        else:
-            vals = self._interp_hex(p)
-        return vals, inside
 
     def _interp_square(self, p: np.ndarray) -> np.ndarray:
         fx, fy, ix, iy = _locate_square(self.lattice, p)
@@ -168,7 +162,7 @@ class LinearSurface2D:
             idx = lat.axial_index(a, b)
             # missing vertices only occur for points outside the hull (or on
             # its boundary within roundoff); their weight is zeroed here and
-            # the caller masks them out
+            # ``extended`` masks them out
             safe = idx >= 0
             vals += np.where(safe, w * self.heights[np.where(safe, idx, 0)], 0.0)
         return vals
@@ -204,11 +198,11 @@ class CrsProfile1D:
             constraints, excess, nodes_per_span, initial=(xs, field(xs)))
 
     def __call__(self, x):
+        """The beam at positions that the caller has put in the hull; no hull
+        test (see the module docstring)."""
         return self.solution.profile(x)
 
-    def extended(self, x):
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        return np.where(self.lattice.contains(x), self.solution.profile(x), 0.0)
+    extended = _extended
 
     def peak_candidates(self) -> np.ndarray:
         """Positions that hold the profile's maximum over the hull: the
@@ -230,7 +224,7 @@ class CrsSurface2D:
     one height, shared by every beam through it.  Between beams, the surface
     is inverse-distance-weighted (exponent 2) over the lines bounding the
     lattice cell containing the query point, which reproduces each beam
-    exactly on its own line.  Outside the pixel hull the surface is zero.
+    exactly on its own line.  ``extended`` is zero outside the pixel hull.
 
     Every value inside the hull is therefore a convex combination of beam
     values, and each beam value interpolates two adjacent nodes of that
@@ -291,26 +285,31 @@ class CrsSurface2D:
         excess = np.asarray(beam_excess, dtype=float)
         if excess.shape != (len(self.beams),):
             raise ValueError("one excess per beam line required")
+        excess = excess.tolist()
         pins = [np.column_stack([beam.stations, heights[beam.pixel_idx]])
                 for beam in self.beams]
-        # an infeasible beam fails the whole build, so find it before solving
-        for constraints, ex in zip(pins, excess):
-            normalize_beam(constraints, float(ex))
+        old = (previous._converged_pins if previous is not None
+               else [None] * len(pins))
+        kept = [o is not None and previous.solutions[i].excess == excess[i]
+                and np.array_equal(o, pins[i]) for i, o in enumerate(old)]
+        # an infeasible beam fails the whole build, so find it before solving;
+        # a kept beam passed this check, and its solve converged, when
+        # ``previous`` was built
+        for constraints, ex, keep in zip(pins, excess, kept):
+            if not keep:
+                normalize_beam(constraints, ex)
         self.solutions: List[ElasticaSolution] = []
         # the pins of every beam whose solve converged, None for the others
         self._converged_pins: List[Optional[np.ndarray]] = []
         for i, (beam, constraints) in enumerate(zip(self.beams, pins)):
-            ex = float(excess[i])
-            hint = None
+            if kept[i]:
+                self.solutions.append(previous.solutions[i])
+                self._converged_pins.append(old[i])
+                continue
+            ex, hint = excess[i], None
             if previous is not None:
-                prev = previous.solutions[i]
-                kept = previous._converged_pins[i]
-                if (kept is not None and prev.excess == ex
-                        and np.array_equal(kept, constraints)):
-                    self.solutions.append(prev)
-                    self._converged_pins.append(kept)
-                    continue
-                hint = (prev.nodes[:, 0], prev.nodes[:, 1])
+                nodes = previous.solutions[i].nodes
+                hint = (nodes[:, 0], nodes[:, 1])
             elif hint_field is not None:
                 restr = hint_field.along_line(beam.origin, beam.direction)
                 sup = restr.support()
@@ -351,16 +350,7 @@ class CrsSurface2D:
         valid = (k >= 0) & (k < table.shape[0])
         return np.where(valid, table[np.clip(k, 0, table.shape[0] - 1)], -1)
 
-    def __call__(self, *point):
-        p = _pack_points(point, 2)
-        inside = self.lattice.contains(p)
-        out = np.zeros(p.shape[0])
-        if np.any(inside):
-            out[inside] = self._idw(p[inside])
-        return out
-
-    def extended(self, *point):
-        return self.__call__(*point)
+    extended = _extended
 
     def peak_candidates(self) -> np.ndarray:
         """(n, 2) positions that hold the surface's maximum over the hull:
@@ -371,9 +361,10 @@ class CrsSurface2D:
                for beam, sol in zip(self.beams, self.solutions)]
         return np.concatenate(pts + [self.lattice.positions])
 
-    # ------------------------------------------------------------------
-
-    def _idw(self, p: np.ndarray) -> np.ndarray:
+    def __call__(self, *point):
+        """The surface at points that the caller has put in the hull; no hull
+        test (see the module docstring)."""
+        p = _pack_points(point, 2)
         lat = self.lattice
         if lat.kind == "square":
             # bounding lines: rows iy, iy+1 (family 0) and columns ix, ix+1

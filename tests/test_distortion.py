@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crslab import distortion
+from crslab import distortion, reconstruct
 from crslab.distortion import (
     DistortionEstimate,
     NoPeakError,
@@ -23,9 +23,9 @@ from crslab.distortion import (
 )
 from crslab.fields import (BumpField1D, BumpField2D, _raised_cosine,
                            make_lattice, sample_pixels)
-from crslab.reconstruct import (CrsProfile1D, CrsSurface2D, LinearSurface2D,
-                                NearestProfile, ReconstructionModel,
-                                build_profile)
+from crslab.reconstruct import (CrsProfile1D, CrsSurface2D, LinearProfile1D,
+                                LinearSurface2D, NearestProfile,
+                                ReconstructionModel, build_profile)
 
 PIX = ReconstructionModel("pixel-only")
 LIN = ReconstructionModel("linear")
@@ -65,30 +65,48 @@ def test_find_peak_linear_plateau_flag():
     assert tied.plateau is True
 
 
-@pytest.mark.parametrize("overshoot", [True, False])
-def test_find_peak_stays_inside_hull_at_rising_end(overshoot):
-    # the bump peaks on the last pixel, so the displayed peak lies near
-    # the hull end; with overshoot, the end node sits 1e-9 of the span past
-    # its end pin, as a few beam solves leave it, and no candidate may
-    # follow it out of the hull
-    lat = make_lattice("line", 30.0, 180.0)
-    prof = CrsProfile1D(BumpField1D(180.0, 1.0, 90.0), lat)
-    if overshoot:
-        nodes = prof.solution.nodes.copy()
-        nodes[-1, 0] += 1e-9 * 180.0
-        prof.solution = dataclasses.replace(prof.solution, nodes=nodes)
-    assert np.all(lat.contains(prof.peak_candidates()))
-    res = find_peak(prof)
-    assert lat.contains(np.array([res.location]))[0]
-    assert 180.0 - res.location < 0.25 * lat.pitch
-    assert res.height == float(prof(res.location))
-
-
 _PEAK_LATTICES = {
     "line": make_lattice("line", 30.0, 180.0),
     "square": make_lattice("square", 30.0, (90.0, 90.0)),
     "hexagonal": make_lattice("hexagonal", 30.0, 60.0),
 }
+
+
+def _crs_profile(lat, peak, amplitude=1.0, wl=90.0):
+    """The CRS display of a bump peaked at peak."""
+    if lat.ndim == 1:
+        return CrsProfile1D(BumpField1D(float(peak), amplitude, wl), lat)
+    return CrsSurface2D(BumpField2D(tuple(peak), amplitude, wl), lat)
+
+
+def _overshoot(sol, span):
+    """The solution with its end node 1e-9 of the span past its end pin."""
+    nodes = sol.nodes.copy()
+    nodes[-1, 0] += 1e-9 * span
+    return dataclasses.replace(sol, nodes=nodes)
+
+
+@pytest.mark.parametrize("overshoot", [True, False])
+def test_find_peak_stays_inside_hull_at_rising_end(overshoot):
+    # the bump peaks on the last pixel, the hull's end in 1D and one of its
+    # corners in 2D, so the displayed peak lies near the hull edge; with
+    # overshoot, every beam's end node sits 1e-9 of its span past its end
+    # pin, as a few beam solves leave it, and no candidate may follow it
+    # out of the hull
+    for kind, lat in _PEAK_LATTICES.items():
+        corner = lat.positions[-1]
+        prof = _crs_profile(lat, corner)
+        if overshoot and lat.ndim == 1:
+            prof.solution = _overshoot(prof.solution, 180.0)
+        elif overshoot:
+            prof.solutions = [_overshoot(sol, beam.span) for sol, beam
+                              in zip(prof.solutions, prof.beams)]
+        assert np.all(lat.contains(prof.peak_candidates())), kind
+        res = find_peak(prof)
+        loc = np.atleast_1d(res.location)
+        assert lat.contains(loc)[0], kind
+        assert np.linalg.norm(loc - corner) < 0.25 * lat.pitch, kind
+        assert res.height == float(np.atleast_1d(prof(*loc))[0]), kind
 
 
 def _hull_grid(lat, spacing=0.25):
@@ -127,6 +145,66 @@ def test_crs_peak_is_global_maximum(kind, u):
     value = float(np.atleast_1d(prof(*loc))[0])
     assert res.height == pytest.approx(value, abs=1e-12 * amplitude)
     assert value >= float(np.max(prof(_hull_grid(lat)))) - 1e-12 * amplitude
+
+
+# ======================================================================
+# callers keep the evaluation contract
+# ======================================================================
+
+@pytest.fixture
+def hull_calls(monkeypatch):
+    """Every model's __call__ asserts that the hull holds its points, as
+    the evaluation contract asks of callers; the list names the model of
+    each call."""
+    calls = []
+    for cls in (NearestProfile, LinearProfile1D, LinearSurface2D,
+                CrsProfile1D, CrsSurface2D):
+        def checked(self, *point, _call=cls.__call__):
+            p = reconstruct._pack_points(point, self.lattice.ndim)
+            assert self.lattice.contains(p).all(), type(self).__name__
+            calls.append(type(self).__name__)
+            return _call(self, *point)
+        monkeypatch.setattr(cls, "__call__", checked)
+    return calls
+
+
+_CALLER_LATTICES = {
+    "line": make_lattice("line", 30.0, 180.0),
+    "square": make_lattice("square", 30.0, (150.0, 150.0)),
+    "hexagonal": make_lattice("hexagonal", 30.0, 90.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_CALLER_LATTICES))
+@pytest.mark.parametrize("model", [PIX, LIN, CRS],
+                         ids=["pixel-only", "linear", "crs"])
+def test_shape_kernel_evaluates_hull_points_only(hull_calls, kind, model):
+    # over the whole hull some windows lie wholly inside it and the others
+    # cross its edge; either way the model sees only hull points
+    lat = _CALLER_LATTICES[kind]
+    peaks = distortion._draw_peaks(lat, 90.0, 3, 12, "Ds", "full")
+    whole = distortion._whole_windows(lat, peaks, 90.0)
+    assert whole.any() and not whole.all()
+    shape_distortion(model, lat, 90.0, 3, 12, region="full")
+    assert len(hull_calls) == 3
+
+
+_HULL_EDGE = {"line": 180.0, "square": (45.0, 0.0),
+              "hexagonal": (52.5, 7.5 * math.sqrt(3.0))}
+
+
+@pytest.mark.parametrize("kind", sorted(_PEAK_LATTICES))
+def test_find_peak_evaluates_hull_points_only(hull_calls, kind):
+    # an inner peak, one on the last pixel (a hull end or corner), and one
+    # on the hull edge between pixels
+    lat = _PEAK_LATTICES[kind]
+    inner = lat.points_from_uniform(
+        [[0.3, 0.6, 0.2][:lat.uniforms_per_point()]])
+    peaks = [inner[0], lat.positions[-1], np.asarray(_HULL_EDGE[kind])]
+    assert lat.contains(np.asarray(peaks)).all()
+    for peak in peaks:
+        find_peak(_crs_profile(lat, peak))
+    assert len(hull_calls) == len(peaks)
 
 
 # ======================================================================

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crslab import elastica, reconstruct
-from crslab.elastica import InfeasibleExcessError, solve_elastica_1d
+from crslab.elastica import (InfeasibleExcessError, normalize_beam,
+                             solve_elastica_1d)
 from crslab.fields import BumpField1D, BumpField2D, bump1d, make_lattice, sample_pixels
 from crslab.reconstruct import (
     CrsProfile1D,
@@ -36,7 +37,6 @@ def test_nearest_profile_line():
     assert prof(45.0) == 1.0
     # beyond the ends the nearest pixel is the end pixel
     assert prof(-100.0) == 0.0
-    assert prof.extended(np.array([60.0]))[0] == 4.0
 
 
 def test_nearest_profile_hex():
@@ -85,9 +85,6 @@ def test_linear_profile_1d_values():
     assert np.allclose(prof(lat.positions), heights)
     assert prof(15.0) == pytest.approx(1.5)
     assert prof(75.0) == pytest.approx(4.5)
-    with pytest.raises(ValueError, match="extrapolation not defined"):
-        prof(121.0)
-    assert prof.extended(np.array([121.0]))[0] == 0.0
 
 
 @settings(deadline=None, max_examples=300)
@@ -131,9 +128,6 @@ def test_linear_surface_square_centroid_mean():
     hi = surf((0.0 + 30.0 + 0.0) / 3.0, (0.0 + 30.0 + 30.0) / 3.0)
     assert hi == pytest.approx((heights[0] + heights[4] + heights[3]) / 3.0,
                                abs=1e-12)
-    with pytest.raises(ValueError, match="extrapolation not defined"):
-        surf(-1.0, 0.0)
-    assert surf.extended(np.array([-1.0]), np.array([0.0]))[0] == 0.0
 
 
 def test_linear_surface_hex_barycentric():
@@ -188,8 +182,6 @@ def test_crs_profile_1d_pins_and_overshoot():
     # falls between pixels (the staircase cannot)
     xs = np.linspace(0.0, 120.0, 961)
     assert prof(xs).max() > prof.heights.max()
-    # zero outside the hull
-    assert prof.extended(np.array([-5.0, 125.0])).tolist() == [0.0, 0.0]
     # arc surplus equals the target's
     assert prof.solution.excess == pytest.approx(fld.arc_excess(0.0, 120.0))
 
@@ -208,8 +200,6 @@ def test_crs_surface_pins_every_pixel():
     heights = sample_pixels(fld, lat)
     vals = surf(lat.positions[:, 0], lat.positions[:, 1])
     assert np.allclose(vals, heights, atol=1e-3)
-    # zero outside the hull
-    assert surf.extended(np.array([200.0]), np.array([0.0]))[0] == 0.0
 
 
 def test_crs_surface_reproduces_beams_on_their_lines():
@@ -259,6 +249,18 @@ def _counting_solver(monkeypatch):
     return calls
 
 
+def _counting_checks(monkeypatch):
+    """The beams whose arc budget a build checks before it solves any."""
+    checked = []
+
+    def check(constraints, excess_length):
+        checked.append(constraints)
+        return normalize_beam(constraints, excess_length)
+
+    monkeypatch.setattr(reconstruct, "normalize_beam", check)
+    return checked
+
+
 def test_crs_surface_from_state_checks_every_beam_before_solving(monkeypatch):
     lat = make_lattice("hexagonal", 30.0, 60.0)
     fld = BumpField2D(peak=(10.0, 5.0), amplitude=2.0, wavelength=90.0)
@@ -303,10 +305,12 @@ def test_crs_surface_keeps_unchanged_beams(monkeypatch):
     first = CrsSurface2D.from_state(lat, heights, excess, hint_field=fld,
                                     strict=False)
     calls = _counting_solver(monkeypatch)
+    checked = _counting_checks(monkeypatch)
     again = CrsSurface2D.from_state(lat, heights.copy(), excess.copy(),
                                     hint_field=fld, previous=first,
                                     strict=False)
-    assert calls == []
+    # a kept beam passed its arc budget check when ``first`` was built
+    assert calls == [] and checked == []
     assert all(a is b for a, b in zip(again.solutions, first.solutions))
 
 
@@ -318,11 +322,13 @@ def test_crs_surface_resolves_the_beams_through_a_moved_pixel(monkeypatch):
     pixel = 9
     moved[pixel] += 0.05
     calls = _counting_solver(monkeypatch)
+    checked = _counting_checks(monkeypatch)
     again = CrsSurface2D.from_state(lat, moved, excess, hint_field=fld,
                                     previous=first, strict=False)
     through = [i for i, b in enumerate(again.beams) if pixel in b.pixel_idx]
     assert len(through) == 3
     assert len(calls) == len(through)
+    assert [c.tolist() for c in checked] == [a[0].tolist() for a in calls]
     for i, (old, new) in enumerate(zip(first.solutions, again.solutions)):
         assert (old is new) == (i not in through), again.beams[i].name
     # a re-solved beam is seeded with its previous nodes
@@ -375,6 +381,73 @@ def test_crs_surface_from_state_needs_2d_lattice():
     lat = make_lattice("line", 30.0, 120.0)
     with pytest.raises(ValueError, match="needs a 2D lattice"):
         CrsSurface2D.from_state(lat, np.zeros(lat.n_pixels), [0.0])
+
+
+# ======================================================================
+# the evaluation contract
+# ======================================================================
+
+_CONTRACT_LATTICES = {
+    "line": make_lattice("line", 30.0, 120.0),
+    "square": make_lattice("square", 30.0, (90.0, 60.0)),
+    "hexagonal": make_lattice("hexagonal", 30.0, 60.0),
+}
+
+
+def _contract_model(cls, lat):
+    """A model of cls for a bump whose support crosses the hull edge."""
+    if lat.ndim == 1:
+        fld = BumpField1D(peak=100.0, amplitude=2.0, wavelength=90.0)
+    else:
+        fld = BumpField2D(peak=(50.0, 20.0), amplitude=2.0, wavelength=90.0)
+    if cls is CrsProfile1D or cls is CrsSurface2D:
+        return cls(fld, lat)
+    return cls(sample_pixels(fld, lat), lat)
+
+
+def _contract_points(lat, rng):
+    """(inside, outside) points: uniform ones over the hull plus the pixels,
+    and points of a box twice the hull's size that the hull does not hold."""
+    inside = lat.points_from_uniform(
+        rng.random((500, lat.uniforms_per_point())))
+    inside = np.concatenate([inside, lat.positions])
+    lo = np.atleast_1d(lat.positions.min(axis=0))
+    hi = np.atleast_1d(lat.positions.max(axis=0))
+    box = rng.uniform(lo - 0.5 * (hi - lo), hi + 0.5 * (hi - lo),
+                      (2000, lat.ndim))
+    box = box[:, 0] if lat.ndim == 1 else box
+    outside = box[~lat.contains(box)]
+    assert outside.shape[0] > 100
+    return inside, outside
+
+
+@pytest.mark.parametrize("cls, kind", [
+    (NearestProfile, "line"), (NearestProfile, "square"),
+    (NearestProfile, "hexagonal"), (LinearProfile1D, "line"),
+    (LinearSurface2D, "square"), (LinearSurface2D, "hexagonal"),
+    (CrsProfile1D, "line"), (CrsSurface2D, "square"),
+    (CrsSurface2D, "hexagonal"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_extended_is_the_model_in_the_hull_and_zero_outside(cls, kind):
+    # every model: calling it evaluates hull points, and ``extended`` is the
+    # same values bit for bit there, alone or mixed with outside points,
+    # and exactly 0.0 everywhere else
+    lat = _CONTRACT_LATTICES[kind]
+    model = _contract_model(cls, lat)
+    inside, outside = _contract_points(lat, np.random.default_rng(41))
+    assert lat.contains(inside).all()
+    vals = model(inside)
+    assert model.extended(inside).tobytes() == vals.tobytes()
+    off = model.extended(outside)
+    assert off.shape == (outside.shape[0],)
+    assert (off == 0.0).all() and not np.signbit(off).any()
+    mixed = np.concatenate([outside[:50], inside, outside[50:]])
+    ext = model.extended(mixed)
+    expect = np.concatenate([off[:50], vals, off[50:]])
+    assert ext.tobytes() == expect.tobytes()
+    if lat.ndim == 2:
+        assert model.extended(mixed[:, 0], mixed[:, 1]).tobytes() \
+            == ext.tobytes()
 
 
 # ======================================================================
