@@ -21,6 +21,11 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+try:
+    from numpy._core.umath import clip as _clip
+except ImportError:     # NumPy 1.x
+    from numpy.core.umath import clip as _clip
+
 from .distortion import NoPeakError, find_peak
 from .elastica import ElasticaError
 from .fields import BeamLine, BumpField2D, Lattice
@@ -225,8 +230,11 @@ def step_servos(state: np.ndarray, commands: np.ndarray, dt_ms: float,
     state = np.asarray(state, dtype=float)
     commands = np.asarray(commands, dtype=float)
     max_move = spec.rate_mm_per_ms * dt_ms
-    delta = np.clip(commands - state, -max_move, max_move)
-    return np.clip(state + delta, 0.0, spec.travel)
+    # the ufunc that np.clip ends in, bit for bit (it keeps -0.0, where
+    # np.minimum(np.maximum(...)) gives +0.0), without np.clip's Python
+    # dispatch chain
+    delta = _clip(commands - state, -max_move, max_move)
+    return _clip(state + delta, 0.0, spec.travel)
 
 
 # ======================================================================

@@ -67,6 +67,10 @@ class ElasticaConvergenceError(ElasticaError):
         self.solution = solution
         self.residual = solution.residual
 
+    def __reduce__(self):
+        # the default rebuilds from self.args, which lacks the solution
+        return type(self), (str(self), self.solution)
+
 
 @dataclass
 class ElasticaSolution:

@@ -26,6 +26,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import _pool
 from .elastica import (ElasticaConvergenceError, ElasticaSolution,
                        normalize_beam, solve_elastica_1d)
 from .fields import (BeamLine, BumpField1D, BumpField2D, Lattice, PixelHeights,
@@ -234,6 +235,17 @@ class CrsSurface2D:
     the best of ``peak_candidates``.  Where lines cross, at a pixel, the
     surface is the mean of the beams through it, which is within the solve
     residual of the pixel height (at most 1e-6 of the span once converged).
+
+    A build runs in three steps.  Plan: check the arc budget of every beam
+    that needs a solve, before any solve, and raise
+    ``InfeasibleExcessError`` for the first beam that fails.  Map: solve
+    those beams, on up to (usable CPUs - 1) forked helper processes and
+    this one (``_pool``); each beam's solve is the same wherever it runs,
+    so the surface equals a serial build.  Assemble: take the solutions in
+    beam order, and raise the error of the first beam, in beam order, whose
+    solve raised, after every solve has finished.  With ``strict=False``
+    an ``ElasticaConvergenceError`` is not raised: its beam keeps the best
+    iterate.
     """
 
     kind = "continuous"
@@ -275,8 +287,9 @@ class CrsSurface2D:
                hint_field: Optional[BumpField2D] = None,
                previous: Optional["CrsSurface2D"] = None,
                strict: bool = True) -> None:
-        """Check every beam's arc budget, then solve each beam pinned at its
-        pixels' heights, or keep ``previous``'s solution (see from_state)."""
+        """Plan, map, assemble: check the arc budget of every beam to solve,
+        solve those beams (``_pool.map_outcomes``), then take each beam's
+        solution, or ``previous``'s (see from_state), in beam order."""
         if lattice.kind not in ("square", "hexagonal"):
             raise ValueError("CrsSurface2D needs a 2D lattice")
         heights = _pixel_heights(heights, lattice)
@@ -292,42 +305,52 @@ class CrsSurface2D:
                else [None] * len(pins))
         kept = [o is not None and previous.solutions[i].excess == excess[i]
                 and np.array_equal(o, pins[i]) for i, o in enumerate(old)]
-        # an infeasible beam fails the whole build, so find it before solving;
-        # a kept beam passed this check, and its solve converged, when
-        # ``previous`` was built
-        for constraints, ex, keep in zip(pins, excess, kept):
-            if not keep:
-                normalize_beam(constraints, ex)
+        # plan: an infeasible beam fails the whole build, so check every arc
+        # budget before any solve; a kept beam passed this check, and its
+        # solve converged, when ``previous`` was built
+        jobs = []
+        for i, constraints in enumerate(pins):
+            if not kept[i]:
+                normalize_beam(constraints, excess[i])
+                jobs.append((constraints, excess[i],
+                             self._hint(i, hint_field, previous)))
+        # map, then assemble in beam order
+        solved = iter(_pool.map_outcomes(_solve_beam, jobs))
         self.solutions: List[ElasticaSolution] = []
         # the pins of every beam whose solve converged, None for the others
         self._converged_pins: List[Optional[np.ndarray]] = []
-        for i, (beam, constraints) in enumerate(zip(self.beams, pins)):
+        for i, constraints in enumerate(pins):
             if kept[i]:
-                self.solutions.append(previous.solutions[i])
-                self._converged_pins.append(old[i])
-                continue
-            ex, hint = excess[i], None
-            if previous is not None:
-                nodes = previous.solutions[i].nodes
-                hint = (nodes[:, 0], nodes[:, 1])
-            elif hint_field is not None:
-                restr = hint_field.along_line(beam.origin, beam.direction)
-                sup = restr.support()
-                if sup is not None and sup[1] > 0.0 and sup[0] < beam.span:
-                    n_h = max(1025, int(math.ceil(
-                        beam.span / hint_field.wavelength)) * 256 + 1)
-                    hs = np.linspace(0.0, beam.span, n_h)
-                    hint = (hs, restr(hs))
-            try:
-                sol = solve_elastica_1d(constraints, ex, initial=hint)
-                self._converged_pins.append(constraints)
-            except ElasticaConvergenceError as err:
-                if strict:
-                    raise
-                sol = err.solution
-                self._converged_pins.append(None)
+                sol, converged = previous.solutions[i], old[i]
+            else:
+                sol, converged = next(solved), constraints
+                if isinstance(sol, ElasticaConvergenceError) and not strict:
+                    sol, converged = sol.solution, None
+                elif isinstance(sol, Exception):
+                    raise sol
             self.solutions.append(sol)
+            self._converged_pins.append(converged)
         self._index_beams()
+
+    def _hint(self, i: int, hint_field: Optional[BumpField2D],
+              previous: Optional["CrsSurface2D"]):
+        """Beam i's seed: its nodes in ``previous``, else ``hint_field``
+        along its line where the field's support reaches the beam, else
+        None."""
+        if previous is not None:
+            nodes = previous.solutions[i].nodes
+            return nodes[:, 0], nodes[:, 1]
+        if hint_field is None:
+            return None
+        beam = self.beams[i]
+        restr = hint_field.along_line(beam.origin, beam.direction)
+        sup = restr.support()
+        if sup is not None and sup[1] > 0.0 and sup[0] < beam.span:
+            n_h = max(1025, int(math.ceil(
+                beam.span / hint_field.wavelength)) * 256 + 1)
+            hs = np.linspace(0.0, beam.span, n_h)
+            return hs, restr(hs)
+        return None
 
     # ------------------------------------------------------------------
 
@@ -417,6 +440,13 @@ class CrsSurface2D:
         exact = np.sum(np.where(hit & (ids >= 0), vals, 0.0), axis=1) \
             / np.maximum(n_hit, 1)
         return np.where(any_hit, exact, idw)
+
+
+def _solve_beam(job) -> ElasticaSolution:
+    """One beam of a ``CrsSurface2D`` build, job = (pins, excess, hint); a
+    module-level function, so that a helper process can run it too."""
+    constraints, excess, hint = job
+    return solve_elastica_1d(constraints, excess, initial=hint)
 
 
 # ======================================================================

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from crslab import control
 from crslab.cli import _fmt
 from crslab.control import (
     CompressionPlan,
@@ -66,6 +67,30 @@ def test_step_servos_slew_fuzz():
         assert np.all(np.abs(nxt - state) <= bound + 1e-12)
         assert np.all((nxt >= 0.0) & (nxt <= servo.travel))
         state = nxt
+
+
+def test_step_servos_matches_np_clip_bit_for_bit():
+    servo = ServoSpec()
+    m = servo.rate_mm_per_ms * 1.0
+    t = servo.travel
+    # -0.0 in both arrays, moves at and just past +-max_move, and commands
+    # at, inside and beyond the travel bounds
+    state = np.array([0.0, -0.0, -0.0, 0.0, 4.0, 4.0, 4.0, 4.0, 0.05, 0.05,
+                      t - 0.05, t, t, 0.0, 3.0, 3.0])
+    cmds = np.array([-0.0, -0.0, 0.0, 0.0, 4.0 + m, 4.0 - m,
+                     np.nextafter(4.0 + m, 9.0), np.nextafter(4.0 - m, 0.0),
+                     -1.0, -0.0, t + 1.0, t, t + m, -m, np.inf, -np.inf])
+    for dt in (1.0, 0.5, 2.0):
+        for a, b in ((state, cmds), (cmds.clip(0.0, t), state)):
+            delta = np.clip(b - a, -m * dt, m * dt)
+            want = np.clip(a + delta, 0.0, t)
+            got = step_servos(a, b, dt, servo)
+            assert got.tobytes() == want.tobytes()
+    # the clip keeps the sign of a zero, as np.clip does
+    for lo, hi in ((0.0, t), (-m, m), (0.0, 0.0)):
+        x = np.array([-0.0, 0.0, lo, hi, -1.0, t + 1.0])
+        assert control._clip(x, lo, hi).tobytes() \
+            == np.clip(x, lo, hi).tobytes()
 
 
 def test_step_servos_rejects_bad_dt():

@@ -1,6 +1,7 @@
 """Constrained elastica solver: feasibility, constraint satisfaction,
 convergence order, scale behaviour, and the small-deflection limit."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -911,6 +912,22 @@ def test_convergence_error_carries_best_iterate(monkeypatch):
     err = info.value
     assert err.solution.nodes.shape[1] == 2
     assert err.residual == err.solution.residual > elastica._TOL * 90.0
+
+
+def test_convergence_error_survives_pickling(monkeypatch):
+    monkeypatch.setattr(elastica, "_MAX_ITER", 1)
+    monkeypatch.setattr(elastica, "_PENALTY_STAGES", (10.0,))
+    monkeypatch.setattr(elastica, "_PROJECTION_STEPS", 0)
+    con = [(0.0, 0.0), (45.0, 6.0), (90.0, 0.0)]
+    needed = 2.0 * math.hypot(45.0, 6.0) - 90.0
+    with pytest.raises(ElasticaConvergenceError) as info:
+        solve_elastica_1d(con, needed * 1.5)
+    err = info.value
+    back = pickle.loads(pickle.dumps(err))
+    assert type(back) is ElasticaConvergenceError
+    assert str(back) == str(err) == "elastica did not converge"
+    assert back.solution.nodes.tobytes() == err.solution.nodes.tobytes()
+    assert back.residual == err.residual
 
 
 def test_input_validation():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crslab import elastica, reconstruct
+from crslab import _pool, elastica, reconstruct
 from crslab.elastica import (InfeasibleExcessError, normalize_beam,
                              solve_elastica_1d)
 from crslab.fields import BumpField1D, BumpField2D, bump1d, make_lattice, sample_pixels
@@ -238,7 +238,14 @@ def test_crs_surface_from_state_round_trip():
         assert np.array_equal(a, b), lat.kind
 
 
+def _pool_serial(monkeypatch):
+    monkeypatch.setattr(_pool, "_helpers", lambda n_items: None)
+
+
 def _counting_solver(monkeypatch):
+    """The beam solves of the builds that follow, which run in this process
+    alone: a helper process would solve some beams out of sight."""
+    _pool_serial(monkeypatch)
     calls = []
 
     def solve(*args, **kwargs):
@@ -343,6 +350,8 @@ def test_crs_surface_resolves_the_beams_through_a_moved_pixel(monkeypatch):
 
 def test_crs_surface_resolves_beams_that_did_not_converge(monkeypatch):
     lat, fld, heights, excess = _replay_state()
+    # the starved settings below reach only this process's solves
+    _pool_serial(monkeypatch)
     with pytest.MonkeyPatch.context() as starved:
         # one weak penalty step and no projection: the beams that need a
         # real solve stop above tolerance
