@@ -20,12 +20,14 @@ Conventions baked into this module:
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
+from . import _pool
 from .fields import (BumpField1D, BumpField2D, Lattice, _raised_cosine,
                      make_lattice)
 from .reconstruct import ReconstructionModel, build_profile
@@ -141,6 +143,29 @@ def _field_for(lattice: Lattice, peak, amplitude: float, wavelength: float):
     return BumpField2D((float(peak[0]), float(peak[1])), amplitude, wavelength)
 
 
+def _map_draws(kernel, model, lattice: Lattice, peaks: np.ndarray,
+               *args) -> np.ndarray:
+    """kernel(model, lattice, chunk, *args) on contiguous chunks of the
+    draws, one chunk per usable CPU, shared with the helper processes
+    (``_pool.map_outcomes``); the per-draw results are joined in row order.
+    Every draw's result depends on that draw alone, so the output equals
+    kernel(model, lattice, peaks, *args), and the first failing chunk's
+    error, which is the first failing draw's, is raised as a serial run
+    raises it."""
+    chunks = np.array_split(peaks, min(len(peaks), _pool._usable_cpus()))
+    outs = _pool.map_outcomes(_run_chunk, [(kernel, model, lattice, c, args)
+                                           for c in chunks])
+    for out in outs:
+        if isinstance(out, Exception):
+            raise out
+    return np.concatenate(outs)
+
+
+def _run_chunk(job) -> np.ndarray:
+    kernel, model, lattice, peaks, args = job
+    return kernel(model, lattice, peaks, *args)
+
+
 # ======================================================================
 # position distortion
 # ======================================================================
@@ -157,16 +182,19 @@ def position_distortion(model: ReconstructionModel, lattice: Lattice,
     target, and averages |x_r - X_i| / l.  Deterministic given the seed;
     estimates for different models with equal (lattice, wavelength, seed,
     region) use identical draws.  Reported runs should use n_samples >=
-    1000.
+    1000.  CRS draws run on every usable CPU, shared with crslab's helper
+    processes (see README, Processes); the estimate equals that of a
+    serial run bit for bit.  Raises ValueError for a wavelength that is
+    not finite and positive or an n_samples below 1.
     """
-    _check_region_policy(region, no_peak_policy)
+    _check_arguments(wavelength, n_samples, region, no_peak_policy)
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Dp", region)
     if model.variant in ("pixel-only", "linear"):
         errs = _vertex_position_errors(lattice, peaks, wavelength,
                                        no_peak_policy)
     else:
-        errs = _crs_position_errors(model, lattice, peaks, wavelength,
-                                    amplitude, no_peak_policy)
+        errs = _map_draws(_crs_position_errors, model, lattice, peaks,
+                          wavelength, amplitude, no_peak_policy)
     return _estimate_from_errors(errs / wavelength, "Dp", lattice, wavelength,
                                  model.variant, seed, region)
 
@@ -227,14 +255,18 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     a segment of length l in 1D, integrated by composite Simpson at
     points_per_wavelength subintervals per wavelength; in 2D it is the
     disc of diameter l, integrated by the product Simpson rule over the
-    nodes of the square grid of that spacing that lie in the disc.
+    nodes of the square grid of that spacing that lie in the disc.  The
+    draws run on every usable CPU, shared with crslab's helper processes
+    (see README, Processes); the estimate equals that of a serial run bit
+    for bit.  Raises ValueError for a wavelength that is not finite and
+    positive or an n_samples below 1.
     """
-    _check_region_policy(region, "nearest_capped")
+    _check_arguments(wavelength, n_samples, region, "nearest_capped")
     if points_per_wavelength < 256 or points_per_wavelength % 2:
         raise ValueError("need an even points_per_wavelength >= 256")
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Ds", region)
-    vals = _shape_errors(model, lattice, peaks, wavelength, amplitude,
-                         points_per_wavelength)
+    vals = _map_draws(_shape_errors, model, lattice, peaks, wavelength,
+                      amplitude, points_per_wavelength)
     return _estimate_from_errors(vals, "Ds", lattice, wavelength,
                                  model.variant, seed, region)
 
@@ -247,28 +279,51 @@ def _whole_windows(lattice: Lattice, peaks: np.ndarray, wl: float) -> np.ndarray
     return lattice.contains(peaks, margin=0.5 * wl + 1e-9 * wl)
 
 
-def _shape_errors(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
-    """Per-draw relative L2 shape errors over the m = ppw + 1 node window:
-    the m-node segment in 1D, the disc nodes of the m x m grid in 2D."""
+class _Window(NamedTuple):
+    """The integration window of the shape error, centred on the origin."""
+
+    w: np.ndarray        # Simpson weights on the m-node segment or m x m grid
+    win: np.ndarray      # flat indices of the nodes within l/2 of the centre
+    rx: np.ndarray       # their offsets from the centre
+    ry: np.ndarray
+    phi_win: np.ndarray  # the ideal shape at them
+    den: float           # sum of phi_win^2 w over the whole window
+
+
+@functools.lru_cache(maxsize=2)
+def _window(ndim: int, wl: float, amplitude: float, ppw: int) -> _Window:
+    """The m = ppw + 1 node window: the m-node segment in 1D, the disc
+    nodes of the m x m grid in 2D.  Built once per process and shared by
+    every call, so its arrays are read-only."""
     m = ppw + 1
     rel = np.linspace(-0.5 * wl, 0.5 * wl, m)
     dx = rel[1] - rel[0]
     w1 = np.ones(m)
     w1[1:-1:2] = 4.0
     w1[2:-1:2] = 2.0
-    if lattice.ndim == 1:
+    if ndim == 1:
         rr, w = np.abs(rel), w1 * (dx / 3.0)
     else:
         rr = np.hypot(rel[None, :], rel[:, None]).ravel()
         w = np.outer(w1, w1).ravel() * (dx / 3.0) ** 2
+    win = np.flatnonzero(rr <= 0.5 * wl)
+    phi_win = _raised_cosine(rr[win], amplitude, wl)
+    phi2 = np.zeros(rr.size)
+    phi2[win] = phi_win ** 2
+    window = _Window(w, win, rel[win % m], rel[win // m], phi_win,
+                     float(phi2 @ w))
+    for a in window[:-1]:
+        a.flags.writeable = False
+    return window
+
+
+def _shape_errors(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
+    """Per-draw relative L2 shape errors over the window (``_window``)."""
+    w, win, rx, ry, phi_win, den_win = _window(lattice.ndim, wl, amplitude,
+                                               ppw)
     # Only window nodes in the hull contribute; scattering them back onto
     # the full grid keeps the Simpson sums order-stable.
-    win = np.flatnonzero(rr <= 0.5 * wl)
-    rx, ry = rel[win % m], rel[win // m]
-    phi_win = _raised_cosine(rr[win], amplitude, wl)
-    err, phi2 = np.zeros(rr.size), np.zeros(rr.size)
-    phi2[win] = phi_win ** 2
-    den_win = float(phi2 @ w)
+    err, phi2 = np.zeros(w.size), np.zeros(w.size)
     whole = _whole_windows(lattice, peaks, wl)
 
     out = np.empty(peaks.shape[0])
@@ -416,7 +471,12 @@ def sweep_fits(rows: Sequence[DistortionEstimate]) -> List[Tuple[str, str, str, 
 # shared helpers
 # ======================================================================
 
-def _check_region_policy(region: str, policy: str) -> None:
+def _check_arguments(wavelength: float, n_samples: int, region: str,
+                     policy: str) -> None:
+    if not (math.isfinite(wavelength) and wavelength > 0.0):
+        raise ValueError("wavelength must be finite and positive")
+    if n_samples < 1:
+        raise ValueError("n_samples must be at least 1")
     if region not in ("full", "interior"):
         raise ValueError("region must be 'full' or 'interior'")
     if policy not in ("nearest_capped", "discard"):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crslab import distortion, reconstruct
+from crslab import _pool, distortion, reconstruct
 from crslab.distortion import (
     DistortionEstimate,
     NoPeakError,
@@ -21,7 +21,7 @@ from crslab.distortion import (
     shape_distortion,
     sweep_fits,
 )
-from crslab.fields import (BumpField1D, BumpField2D, _raised_cosine,
+from crslab.fields import (BumpField1D, BumpField2D, Lattice, _raised_cosine,
                            make_lattice, sample_pixels)
 from crslab.reconstruct import (CrsProfile1D, CrsSurface2D, LinearProfile1D,
                                 LinearSurface2D, NearestProfile,
@@ -155,7 +155,10 @@ def test_crs_peak_is_global_maximum(kind, u):
 def hull_calls(monkeypatch):
     """Every model's __call__ asserts that the hull holds its points, as
     the evaluation contract asks of callers; the list names the model of
-    each call."""
+    each call.  Every draw runs in this process, where the patch reaches:
+    a helper process forked earlier would evaluate some draws out of its
+    sight."""
+    _serial(monkeypatch)
     calls = []
     for cls in (NearestProfile, LinearProfile1D, LinearSurface2D,
                 CrsProfile1D, CrsSurface2D):
@@ -205,6 +208,133 @@ def test_find_peak_evaluates_hull_points_only(hull_calls, kind):
     for peak in peaks:
         find_peak(_crs_profile(lat, peak))
     assert len(hull_calls) == len(peaks)
+
+
+# ======================================================================
+# draws on helper processes
+# ======================================================================
+
+def _serial(monkeypatch):
+    monkeypatch.setattr(_pool, "_helpers", lambda n_items: None)
+
+
+def _has_helper() -> bool:
+    """Fork the helpers if this process may; whether one runs."""
+    _pool.map_outcomes(abs, [1, 2])
+    return _pool._POOL is not None and bool(_pool._POOL.procs)
+
+
+_SPLIT_LATTICES = {
+    "line": make_lattice("line", 30.0, 240.0),
+    "hexagonal": make_lattice("hexagonal", 30.0, 60.0),
+    "square": make_lattice("square", 30.0, (180.0, 150.0)),
+    # pitch above the wavelength: many CRS draws have no peak
+    "sparse": make_lattice("square", 200.0, (400.0, 400.0)),
+}
+
+
+@pytest.mark.parametrize("region", ["full", "interior"])
+@pytest.mark.parametrize("estimator, kind, model, n, policy", [
+    (shape_distortion, "line", PIX, 7, None),
+    (shape_distortion, "line", CRS, 5, None),
+    (shape_distortion, "square", LIN, 7, None),
+    (shape_distortion, "hexagonal", PIX, 7, None),
+    (shape_distortion, "hexagonal", CRS, 3, None),
+    (position_distortion, "line", CRS, 7, "nearest_capped"),
+    (position_distortion, "hexagonal", CRS, 5, "nearest_capped"),
+    (position_distortion, "sparse", CRS, 9, "discard"),
+], ids=["Ds-line-pixel-only", "Ds-line-crs", "Ds-square-linear",
+        "Ds-hexagonal-pixel-only", "Ds-hexagonal-crs", "Dp-line-crs",
+        "Dp-hexagonal-crs", "Dp-sparse-crs-discard"])
+def test_draws_on_helpers_equal_a_serial_run(monkeypatch, estimator, kind,
+                                            model, n, policy, region):
+    if not _has_helper():
+        pytest.skip("no helper can run here")
+    lat = _SPLIT_LATTICES[kind]
+    kwargs = {"region": region}
+    if policy is not None:
+        kwargs["no_peak_policy"] = policy
+    shared = estimator(model, lat, 90.0, n, 21, **kwargs)
+    _serial(monkeypatch)
+    serial = estimator(model, lat, 90.0, n, 21, **kwargs)
+    assert shared.value.hex() == serial.value.hex()
+    assert shared.standard_error.hex() == serial.standard_error.hex()
+    assert shared == serial
+    if policy == "discard" and region == "full":
+        assert 1 < serial.n_samples < n
+
+
+@pytest.mark.parametrize("kernel, kind, model, policy", [
+    (distortion._shape_errors, "hexagonal", PIX, None),
+    (distortion._crs_position_errors, "line", CRS, "nearest_capped"),
+    (distortion._crs_position_errors, "sparse", CRS, "discard"),
+], ids=["Ds-hexagonal-pixel-only", "Dp-line-crs", "Dp-sparse-crs-discard"])
+def test_draw_errors_come_back_in_row_order(kernel, kind, model, policy):
+    if not _has_helper():
+        pytest.skip("no helper can run here")
+    lat = _SPLIT_LATTICES[kind]
+    peaks = distortion._draw_peaks(lat, 90.0, 9, 8, "Dp", "full")
+    last = 256 if policy is None else policy
+    args = (model, lat, peaks, 90.0, 1.0, last)
+    shared = distortion._map_draws(kernel, *args)
+    assert shared.tobytes() == kernel(*args).tobytes()
+
+
+class _FailingLattice(Lattice):
+    """A square lattice whose nearest-pixel lookup raises for the window of
+    every listed draw; the draw's index is in the message."""
+
+    def nearest_index(self, points):
+        centre = np.mean(np.atleast_2d(points), axis=0)
+        for i, peak in self.failing:
+            if np.allclose(centre, peak, rtol=0.0, atol=1e-6):
+                raise ValueError(f"draw {i} failed")
+        return super().nearest_index(points)
+
+
+@pytest.mark.parametrize("failing", [(1, 6), (6,)])
+def test_a_failing_draw_raises_as_a_serial_run_does(monkeypatch, failing):
+    # draw 1 falls in the first chunk and draw 6 in a later one; the first
+    # failing draw's error is raised wherever each chunk ran
+    lat = _SPLIT_LATTICES["square"]
+    peaks = distortion._draw_peaks(lat, 90.0, 8, 4, "Ds", "interior")
+    assert distortion._whole_windows(lat, peaks, 90.0).all()
+    bad = _FailingLattice(**{f.name: getattr(lat, f.name)
+                             for f in dataclasses.fields(lat)})
+    object.__setattr__(bad, "failing", [(i, peaks[i]) for i in failing])
+    errors = []
+    for run in ("shared", "serial"):
+        if run == "serial":
+            _serial(monkeypatch)
+        with pytest.raises(ValueError) as err:
+            shape_distortion(PIX, bad, 90.0, 8, 4, region="interior")
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1] == (ValueError, f"draw {failing[0]} failed")
+
+
+def test_window_is_built_once_and_read_only():
+    window = distortion._window(2, 90.0, 1.0, 256)
+    assert distortion._window(2, 90.0, 1.0, 256) is window
+    for name in ("w", "win", "rx", "ry", "phi_win"):
+        arr = getattr(window, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    assert window.den > 0.0
+
+
+@pytest.mark.parametrize("estimator", [position_distortion, shape_distortion])
+@pytest.mark.parametrize("wavelength, n", [
+    (-90.0, 10), (0.0, 10), (math.nan, 10), (math.inf, 10), (-math.inf, 10),
+    (90.0, 0), (90.0, -1)])
+def test_estimators_reject_bad_wavelength_and_sample_count(
+        monkeypatch, estimator, wavelength, n):
+    def no_draws(*args):
+        raise AssertionError("drew peaks")
+
+    monkeypatch.setattr(distortion, "_draw_peaks", no_draws)
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    with pytest.raises(ValueError, match="wavelength|n_samples"):
+        estimator(PIX, lat, wavelength, n, 5)
 
 
 # ======================================================================
