@@ -6,6 +6,9 @@ that buckle between pixels and interpolate the rendered surface.  It
 provides target shape fields, display lattices, surface reconstruction
 models, beam mechanics, Monte Carlo distortion metrics, and a servo-level
 rendering simulator, plus a command line harness for reproducible runs.
+
+Import loads NumPy only; SciPy loads at the first beam solve, arc integral
+or root find.
 """
 from .elastica import (
     ElasticaConvergenceError,

@@ -27,6 +27,10 @@ A step works on a few hundred angles, so its cost is the number of NumPy
 and LAPACK calls it makes rather than their arithmetic.  A rewrite must
 keep every floating-point operation and its order: 2.0 * dth / h and
 (2.0 / h) * dth round differently, and the second moves most solves.
+
+Importing this module loads NumPy only.  Each LAPACK routine, and SciPy's
+PchipInterpolator, is bound at its first call (crslab._lazy), so SciPy
+loads at the first beam solve.
 """
 from __future__ import annotations
 
@@ -35,9 +39,17 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.linalg.lapack import (dgesv, dgtsv, dpttrf, dpttrs, dstebz,
-                                  dsyevd)
+
+from ._lazy import deferred
+
+PchipInterpolator = deferred(globals(), "scipy.interpolate",
+                             "PchipInterpolator")
+dgesv = deferred(globals(), "scipy.linalg.lapack", "dgesv")
+dgtsv = deferred(globals(), "scipy.linalg.lapack", "dgtsv")
+dpttrf = deferred(globals(), "scipy.linalg.lapack", "dpttrf")
+dpttrs = deferred(globals(), "scipy.linalg.lapack", "dpttrs")
+dstebz = deferred(globals(), "scipy.linalg.lapack", "dstebz")
+dsyevd = deferred(globals(), "scipy.linalg.lapack", "dsyevd")
 
 
 # a predicted decrease below this fraction of |f| is roundoff in f

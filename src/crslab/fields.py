@@ -21,7 +21,10 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.integrate import quad
+
+from ._lazy import deferred
+
+quad = deferred(globals(), "scipy.integrate", "quad")
 
 Array = np.ndarray
 
@@ -171,6 +174,9 @@ def _arc_excess(slope, support: Optional[Tuple[float, float]],
     slope function that is flat outside support (None: flat everywhere).
     Only the part of [x0, x1] inside the support contributes; the
     integrand sqrt(1 + z'(x)^2) - 1 vanishes where the profile is flat.
+
+    The first integral over a non-empty range binds SciPy's quad, which
+    imports SciPy (crslab._lazy).
     """
     if support is None:
         return 0.0
@@ -405,8 +411,17 @@ class Lattice:
 
     def _onto_hull_axial(self, qf: Array, rf: Array) -> Tuple[Array, Array]:
         """Euclidean projection of fractional axial coordinates onto the
-        hull hexagon max(|q|, |r|, |s|) <= k, where s = -q - r."""
+        hull hexagon max(|q|, |r|, |s|) <= k, where s = -q - r.
+
+        When the extents of qf, rf and qf + rf put every point inside the
+        hexagon with a relative margin of 1e-9, which roundoff in the
+        per-point test below cannot cross, the points are returned as
+        they are without that test."""
         k = (self._axial_table().shape[0] - 1) // 2
+        lim = k * (1.0 - 1e-9)
+        if all(-lim <= a.min(initial=lim) and a.max(initial=-lim) <= lim
+               for a in (qf, rf, qf + rf)):
+            return qf, rf
         # max(|q|, |r|, |s|) is half their sum, since q + r + s = 0
         out = np.flatnonzero(np.abs(qf) + np.abs(rf) + np.abs(qf + rf) > 2 * k)
         if out.size == 0:

@@ -19,9 +19,11 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.optimize import brentq
 
+from ._lazy import deferred
 from .fields import BumpField1D, Lattice
+
+brentq = deferred(globals(), "scipy.optimize", "brentq")
 
 _PA_TO_NMM = 1e-6     # Pa -> N/mm^2
 
@@ -306,16 +308,23 @@ def range_limits(beam: BeamSpec, yield_strain: float, servo_travel: float,
     the outer-fibre strain is curvature times b/2, so
     A_max = yield_strain l^2 / (pi^2 b).  Travel limit: the amplitude whose
     arc-length excess (by quadrature) equals the servo travel, found by
-    bracketed root solving.
+    bracketed root solving.  The first call binds SciPy's quad and brentq,
+    which imports SciPy (crslab._lazy).
+
+    Raises ValueError, naming the argument, for a yield_strain,
+    servo_travel or wavelength that is not finite and positive, before any
+    quadrature.
     """
-    if yield_strain <= 0.0 or servo_travel <= 0.0:
-        raise ValueError("yield strain and servo travel must be positive")
     if wavelength is None:
         if lattice is None:
             raise ValueError("need a lattice or an explicit wavelength")
         wavelength = 3.0 * lattice.pitch
-    if wavelength <= 0.0:
-        raise ValueError("wavelength must be positive")
+    for name, value in (("yield_strain", yield_strain),
+                        ("servo_travel", servo_travel),
+                        ("wavelength", wavelength)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and positive, "
+                             f"got {value!r}")
     l = wavelength
     a_curv = yield_strain * l * l / (math.pi ** 2 * beam.thickness)
 

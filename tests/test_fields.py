@@ -575,6 +575,62 @@ def test_nearest_index_hex_outside_hull():
     assert np.array_equal(lat.nearest_index(pts), _brute_nearest(lat, pts)[0])
 
 
+def _project_every_time(lat, qf, rf):
+    """`Lattice._onto_hull_axial` as it was before it learned to skip its
+    per-point outside test when the extents put every point inside."""
+    k = (lat._axial_table().shape[0] - 1) // 2
+    out = np.flatnonzero(np.abs(qf) + np.abs(rf) + np.abs(qf + rf) > 2 * k)
+    if out.size == 0:
+        return qf, rf
+    c = np.stack([qf[out], rf[out], -qf[out] - rf[out]])
+    j = np.argmax(np.abs(c), axis=0)
+    cols = np.arange(out.size)
+    edge = np.copysign(float(k), c[j, cols])
+    lo = np.where(edge > 0.0, -k, 0.0)
+    c = np.clip(c + 0.5 * (c[j, cols] - edge), lo, lo + k)
+    c[j, cols] = edge
+    qf, rf = qf.copy(), rf.copy()
+    qf[out], rf[out] = c[0], c[1]
+    return qf, rf
+
+
+@st.composite
+def _hex_lattice_and_cloud(draw):
+    """A hexagonal lattice and points inside its hull, on its boundary to
+    within a few ulps, outside it, or both inside and outside."""
+    pitch = draw(st.floats(0.5, 50.0))
+    lat = make_lattice("hexagonal", pitch, pitch * draw(st.integers(1, 6)))
+    unit = st.floats(0.0, 1.0)
+    u = np.array(draw(st.lists(st.tuples(unit, unit, unit), min_size=1,
+                               max_size=60)))
+    where = draw(st.sampled_from(["inside", "boundary", "outside",
+                                  "straddling"]))
+    if where == "boundary":
+        u[:, 1] = 1.0           # on the hull's edges
+        scale = 1.0 + draw(st.floats(-1e-8, 1e-8))
+    elif where == "inside":
+        scale = draw(st.floats(0.0, 1.0 - 1e-6))
+    else:
+        scale = draw(st.floats(1.0 + 1e-6, 3.0))
+    pts = scale * lat.points_from_uniform(u)
+    if where == "straddling":
+        pts = np.vstack([pts, 0.5 * lat.points_from_uniform(u[::-1])])
+    return lat, pts
+
+
+@settings(deadline=None, max_examples=300)
+@given(_hex_lattice_and_cloud())
+def test_hex_hull_projection_equals_projecting_every_time(case):
+    lat, pts = case
+    qf, rf = lat.fractional_axial(pts)
+    got_q, got_r = lat._onto_hull_axial(qf, rf)
+    want_q, want_r = _project_every_time(lat, qf, rf)
+    assert got_q.tobytes() == want_q.tobytes()
+    assert got_r.tobytes() == want_r.tobytes()
+    want = lat.axial_index(*_hex_round(want_q, want_r))
+    assert lat.nearest_index(pts).tobytes() == want.tobytes()
+
+
 # ======================================================================
 # beam lines
 # ======================================================================

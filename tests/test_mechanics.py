@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from crslab import fields, mechanics
 from crslab.fields import make_lattice
 from crslab.mechanics import (
     BeamSpec,
@@ -273,3 +274,23 @@ def test_range_limits_scaling_in_yield():
                                                 rel=1e-12)
     # the travel limit does not depend on the yield strain
     assert b.travel_limited == pytest.approx(a.travel_limited, rel=1e-12)
+
+
+@pytest.mark.parametrize("name, value", [
+    (name, value) for name in ("yield_strain", "servo_travel", "wavelength")
+    for value in (math.nan, math.inf, -math.inf, 0.0, -1.0)])
+def test_range_limits_rejects_bad_strain_travel_and_wavelength(
+        monkeypatch, name, value):
+    # before this check, yield_strain=nan gave curvature_limited=nan, inf
+    # gave inf, and servo_travel=inf or wavelength=nan raised the bump
+    # field's "bump parameters must be finite"
+    def no_quadrature(*args, **kwargs):
+        raise AssertionError("quadrature ran")
+
+    monkeypatch.setattr(fields, "quad", no_quadrature)
+    monkeypatch.setattr(mechanics, "brentq", no_quadrature)
+    args = {"yield_strain": 0.002, "servo_travel": 9.0, "wavelength": 90.0,
+            name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be finite and "
+                                         "positive"):
+        range_limits(BeamSpec(2000.0, 5.0, 0.5, 100.0), **args)

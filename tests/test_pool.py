@@ -1,5 +1,6 @@
 """The helper pool behind CrsSurface2D builds: outcomes in item order, equal
 to a serial run, and helpers that never outlive their parent."""
+import json
 import os
 import signal
 import subprocess
@@ -292,3 +293,54 @@ def test_helpers_exit_when_their_parent_is_killed_mid_build():
             proc.wait(timeout=10)
         proc.stdout.close()
 
+
+
+# ----------------------------------------------------------------------
+# helpers forked before SciPy loads
+# ----------------------------------------------------------------------
+
+_SCIPY_LATE = textwrap.dedent("""
+    import hashlib, json, sys
+    from crslab import _pool
+    from crslab.distortion import position_distortion, shape_distortion
+    from crslab.fields import BumpField2D, make_lattice
+    from crslab.reconstruct import CrsSurface2D, ReconstructionModel
+    if sys.argv[1] == "serial":
+        _pool._helpers = lambda n_items: None
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    # pixel-only draws fork the helpers, and neither they nor this process
+    # have loaded SciPy yet
+    pix = shape_distortion(ReconstructionModel("pixel-only"), lat, 90.0, 7, 3)
+    pool = _pool._POOL
+    pids = [p.pid for p in pool.procs] if pool else []
+    scipy_at_fork = "scipy" in sys.modules
+    surf = CrsSurface2D(BumpField2D((7.0, -4.0), 2.0, 90.0), lat)
+    nodes = hashlib.sha256(b"".join(s.nodes.tobytes()
+                                    for s in surf.solutions)).hexdigest()
+    crs = position_distortion(ReconstructionModel("crs"), lat, 90.0, 5, 4)
+    print(json.dumps({"pids": pids, "scipy_at_fork": scipy_at_fork,
+                      "out": [repr(pix), pix.value.hex(), nodes, repr(crs),
+                              crs.value.hex(), crs.standard_error.hex()]}))
+""")
+
+
+def _scipy_late(mode) -> dict:
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_LATE, mode], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
+@pytest.mark.skipif(_pool._usable_cpus() < 2, reason="needs 2 usable CPUs")
+def test_helpers_forked_before_scipy_loads_equal_a_serial_run():
+    shared = _scipy_late("shared")
+    if not shared["pids"]:
+        pytest.skip("no helper can run here")
+    assert _left_running(shared["pids"], 5.0) == []
+    assert shared["scipy_at_fork"] is False
+    serial = _scipy_late("serial")
+    assert serial["pids"] == []
+    assert shared["out"] == serial["out"]
