@@ -44,6 +44,9 @@ def _typed(kind, extra: str = ""):
             value = float(value)
         if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
             raise ConfigError(f"expected {kind.__name__}{extra}")
+        # JSON's NaN and Infinity tokens parse to floats
+        if kind is float and not math.isfinite(value):
+            raise ConfigError(f"expected finite float{extra}")
         return value
     return check
 

@@ -184,10 +184,10 @@ def position_distortion(model: ReconstructionModel, lattice: Lattice,
     region) use identical draws.  Reported runs should use n_samples >=
     1000.  CRS draws run on every usable CPU, shared with crslab's helper
     processes (see README, Processes); the estimate equals that of a
-    serial run bit for bit.  Raises ValueError for a wavelength that is
-    not finite and positive or an n_samples below 1.
+    serial run bit for bit.  Raises ValueError for a wavelength or
+    amplitude that is not finite and positive or an n_samples below 1.
     """
-    _check_arguments(wavelength, n_samples, region, no_peak_policy)
+    _check_arguments(wavelength, amplitude, n_samples, region, no_peak_policy)
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Dp", region)
     if model.variant in ("pixel-only", "linear"):
         errs = _vertex_position_errors(lattice, peaks, wavelength,
@@ -256,12 +256,16 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     points_per_wavelength subintervals per wavelength; in 2D it is the
     disc of diameter l, integrated by the product Simpson rule over the
     nodes of the square grid of that spacing that lie in the disc.  The
-    draws run on every usable CPU, shared with crslab's helper processes
-    (see README, Processes); the estimate equals that of a serial run bit
-    for bit.  Raises ValueError for a wavelength that is not finite and
-    positive or an n_samples below 1.
+    pixel-only model's heights at the nodes come from their nearest
+    pixels, found row by row over the window's grid
+    (``Lattice.grid_nearest_index``).  The draws run on every usable CPU,
+    shared with crslab's helper processes (see README, Processes); the
+    estimate equals that of a serial run bit for bit.  Raises ValueError
+    for a wavelength or amplitude that is not finite and positive or an
+    n_samples below 1.
     """
-    _check_arguments(wavelength, n_samples, region, "nearest_capped")
+    _check_arguments(wavelength, amplitude, n_samples, region,
+                     "nearest_capped")
     if points_per_wavelength < 256 or points_per_wavelength % 2:
         raise ValueError("need an even points_per_wavelength >= 256")
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Ds", region)
@@ -282,12 +286,13 @@ def _whole_windows(lattice: Lattice, peaks: np.ndarray, wl: float) -> np.ndarray
 class _Window(NamedTuple):
     """The integration window of the shape error, centred on the origin."""
 
-    w: np.ndarray        # Simpson weights on the m-node segment or m x m grid
-    win: np.ndarray      # flat indices of the nodes within l/2 of the centre
-    rx: np.ndarray       # their offsets from the centre
-    ry: np.ndarray
-    phi_win: np.ndarray  # the ideal shape at them
-    den: float           # sum of phi_win^2 w over the whole window
+    w: np.ndarray         # Simpson weights on the m-node segment or m x m grid
+    win: np.ndarray       # flat indices of the nodes within l/2 of the centre
+    disc: np.ndarray      # those nodes as a mask over the segment or grid
+    rel: np.ndarray       # the m grid coordinates along each axis
+    offsets: np.ndarray   # the win nodes' offsets from the centre, (n,) or (n, 2)
+    phi: np.ndarray       # the ideal shape over the segment or grid
+    den: float            # sum of phi^2 w
 
 
 @functools.lru_cache(maxsize=2)
@@ -306,43 +311,67 @@ def _window(ndim: int, wl: float, amplitude: float, ppw: int) -> _Window:
     else:
         rr = np.hypot(rel[None, :], rel[:, None]).ravel()
         w = np.outer(w1, w1).ravel() * (dx / 3.0) ** 2
-    win = np.flatnonzero(rr <= 0.5 * wl)
-    phi_win = _raised_cosine(rr[win], amplitude, wl)
-    phi2 = np.zeros(rr.size)
-    phi2[win] = phi_win ** 2
-    window = _Window(w, win, rel[win % m], rel[win // m], phi_win,
-                     float(phi2 @ w))
+    disc = rr <= 0.5 * wl
+    win = np.flatnonzero(disc)
+    # column-major (n, 2), so that adding a peak runs along each column
+    offsets = rel[win] if ndim == 1 else np.array([rel[win % m],
+                                                   rel[win // m]]).T
+    phi = np.zeros(rr.size)
+    phi[win] = _raised_cosine(rr[win], amplitude, wl)
+    window = _Window(w, win, disc, rel, offsets, phi, float(phi ** 2 @ w))
     for a in window[:-1]:
         a.flags.writeable = False
     return window
 
 
 def _shape_errors(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
-    """Per-draw relative L2 shape errors over the window (``_window``)."""
-    w, win, rx, ry, phi_win, den_win = _window(lattice.ndim, wl, amplitude,
-                                               ppw)
-    # Only window nodes in the hull contribute; scattering them back onto
-    # the full grid keeps the Simpson sums order-stable.
+    """Per-draw relative L2 shape errors over the window (``_window``).
+
+    Only window nodes in the hull contribute, and every error and ideal
+    shape is summed over the full segment or grid, zero elsewhere, which
+    keeps the Simpson sums order-stable.  The pixel-only model reads its
+    heights at the nearest pixels of the window's tensor grid
+    (``Lattice.grid_nearest_index``); the other models evaluate their
+    surfaces at the window nodes in the hull."""
+    w, win, disc, rel, offsets, phi, den_win = _window(lattice.ndim, wl,
+                                                      amplitude, ppw)
     err, phi2 = np.zeros(w.size), np.zeros(w.size)
     whole = _whole_windows(lattice, peaks, wl)
+    pixel_only = model.variant == "pixel-only"
+    if pixel_only:
+        # each draw's window grid axes around its peak, (n, ndim, m)
+        axes = peaks.reshape(peaks.shape[0], -1, 1) + rel
 
     out = np.empty(peaks.shape[0])
     for i, peak in enumerate(peaks):
-        if lattice.ndim == 1:
-            pts = peak + rx
-        else:
-            pts = np.column_stack([peak[0] + rx, peak[1] + ry])
-        node, phi, den = win, phi_win, den_win
+        node, keep, den = win, disc, den_win
+        if not (pixel_only and whole[i]):
+            pts = peak + offsets
         if not whole[i]:
             inside = lattice.contains(pts)
-            pts = np.compress(inside, pts, axis=0)
-            node, phi = win[inside], phi_win[inside]
-            err[win], phi2[win] = 0.0, 0.0
-            phi2[node] = phi ** 2
+            node = win[inside]
+            phi2[win] = 0.0
+            phi2[node] = phi[node] ** 2
             den = float(phi2 @ w)
         profile = build_profile(model, _field_for(lattice, peak, amplitude, wl),
                                 lattice)
-        err[node] = (phi - profile(pts)) ** 2
+        if pixel_only:
+            if not whole[i]:
+                keep = np.zeros(w.size, dtype=bool)
+                keep[node] = True
+            # a node outside the hull may get index -1, which "clip" reads
+            # as pixel 0 and keep then drops
+            nearest = lattice.grid_nearest_index(*axes[i])
+            profile.heights.take(nearest.ravel(), out=err, mode="clip")
+            np.subtract(phi, err, out=err)
+            err *= keep
+            err *= err
+        else:
+            if not whole[i]:
+                # per column, which keeps pts column-major
+                pts = np.compress(inside, pts.T, axis=-1).T
+                err[win] = 0.0
+            err[node] = (phi[node] - profile(pts)) ** 2
         out[i] = math.sqrt(float(err @ w) / den)
     return out
 
@@ -471,10 +500,12 @@ def sweep_fits(rows: Sequence[DistortionEstimate]) -> List[Tuple[str, str, str, 
 # shared helpers
 # ======================================================================
 
-def _check_arguments(wavelength: float, n_samples: int, region: str,
-                     policy: str) -> None:
+def _check_arguments(wavelength: float, amplitude: float, n_samples: int,
+                     region: str, policy: str) -> None:
     if not (math.isfinite(wavelength) and wavelength > 0.0):
         raise ValueError("wavelength must be finite and positive")
+    if not (math.isfinite(amplitude) and amplitude > 0.0):
+        raise ValueError("amplitude must be finite and positive")
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if region not in ("full", "interior"):

@@ -362,7 +362,8 @@ class Lattice:
         halves down per axis, hexagonal ones break ties as an infinitesimal
         step towards -y, then -x, would.  Ties are judged in the fractional
         lattice coordinates, so a point within roundoff of a cell boundary
-        may land on either side of it.
+        may land on either side of it.  ``grid_nearest_index`` gives the
+        same indices over a tensor grid of points, row by row.
         """
         if self.kind == "line":
             p = np.atleast_1d(np.asarray(points, dtype=float))
@@ -372,16 +373,78 @@ class Lattice:
             return np.searchsorted(mids, p, side="left")
         p = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "square":
-            nx, ny = self.grid_shape
-            ox, oy = self.origin2d
-            ix = np.clip(_round_half_down((p[:, 0] - ox) / self.pitch), 0, nx - 1)
-            iy = np.clip(_round_half_down((p[:, 1] - oy) / self.pitch), 0, ny - 1)
-            return (iy * nx + ix).astype(np.int64)
+            ix, iy = self._square_cells(p[:, 0], p[:, 1])
+            return iy * self.grid_shape[0] + ix
         q, r = _hex_round(*self._onto_hull_axial(*self.fractional_axial(p)))
         # a point in the hull rounds to a pixel, so no site needs a mask
         table = self._axial_table()
         k = (table.shape[0] - 1) // 2
         return table.ravel().take((q + k) * (2 * k + 1) + r + k)
+
+    def grid_nearest_index(self, xs: Array, ys: Optional[Array] = None) -> Array:
+        """``nearest_index`` over the tensor grid of the increasing
+        coordinates xs (and ys on planar lattices): entry [j, i] is the
+        nearest pixel of node (xs[i], ys[j]), and a line lattice gives the
+        (len(xs),) array of ``nearest_index(xs)``.  Every node in the hull
+        gets exactly the index that ``nearest_index`` gives it; a node
+        outside the hull gets some pixel's index, or -1.
+
+        Square rounding is separable: one rounding per column and one per
+        row.  Along a grid row of a hexagonal lattice, between pixel rows
+        r0 and r0 + 1 at fractional position v, the nearest pixel is
+        piecewise constant.  In pitch units, with pixel (n, r0) at s = n
+        and (n, r0 + 1) at s = n + 1/2, the row crosses cell (n, r0) on
+        n +- w, w = clip(1 - 1.5 v, 0, 1/2), and cell (n, r0 + 1) between
+        n + w and n + 1 - w: only row r0's cells when v <= 1/3, only row
+        r0 + 1's when v >= 2/3.  Each run of one cell is expanded in one
+        ``np.repeat``; the nodes within 1e-9 pitch of a cell edge are
+        decided by ``nearest_index`` itself, so ties and roundoff resolve
+        exactly as there.
+        """
+        xs = np.asarray(xs, dtype=float)
+        if self.kind == "line":
+            return self.nearest_index(xs)
+        ys = np.asarray(ys, dtype=float)
+        if self.kind == "square":
+            ix, iy = self._square_cells(xs, ys)
+            return iy[:, None] * self.grid_shape[0] + ix
+        ox, oy = self.origin2d
+        t = (xs - ox) / self.pitch                 # as in fractional_axial
+        rf = (ys - oy) / (_SQRT3 / 2.0 * self.pitch)
+        r0 = np.floor(rf)[:, None]
+        w = np.clip(1.0 - 1.5 * (rf[:, None] - r0), 0.0, 0.5)
+        # cells (n, r0) and (n, r0 + 1) for n = n0 .. n0 + P - 1, and the
+        # edge after each; the last edge lies beyond t[-1]
+        periods = int(math.ceil(t[-1] - t[0])) + 2
+        n = np.floor(t[0] - 0.5 * r0) + np.arange(periods)
+        edges = ((n + 0.5 * r0)[..., None]
+                 + np.stack([w, 1.0 - w], axis=-1)).reshape(ys.size, -1)
+        cut = np.searchsorted(t, edges - 1e-9)
+        near = np.append(t, np.inf).take(cut) <= edges + 1e-9
+        ends = cut + np.arange(0, ys.size * t.size, t.size)[:, None]
+        # flat axial-table index; a cell beyond the table is clipped to some
+        # entry, which only nodes outside the hull can fall in
+        table = self._axial_table()
+        k = (table.shape[0] - 1) // 2
+        flat = ((n + k) * (2 * k + 1) + r0 + k)[..., None] + np.arange(2)
+        cells = table.ravel().take(flat.astype(np.int64).ravel(), mode="clip")
+        out = np.repeat(cells, np.diff(ends.ravel(), prepend=0))
+        out = out.reshape(ys.size, t.size)
+        for j, e in zip(*np.nonzero(near)):
+            hi = np.searchsorted(t, edges[j, e] + 1e-9, side="right")
+            cols = np.arange(cut[j, e], hi)
+            out[j, cols] = self.nearest_index(
+                np.column_stack([xs[cols], np.full(cols.size, ys[j])]))
+        return out
+
+    def _square_cells(self, x: Array, y: Array) -> Tuple[Array, Array]:
+        """Grid column of the nearest pixel for each x and grid row for each
+        y: rounded half down and clamped, per axis."""
+        nx, ny = self.grid_shape
+        ox, oy = self.origin2d
+        ix = np.clip(_round_half_down((x - ox) / self.pitch), 0, nx - 1)
+        iy = np.clip(_round_half_down((y - oy) / self.pitch), 0, ny - 1)
+        return ix.astype(np.int64), iy.astype(np.int64)
 
     def nearest_distance(self, points: Array) -> Array:
         idx = self.nearest_index(points)

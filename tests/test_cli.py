@@ -81,6 +81,45 @@ def test_bad_list_value_message(tmp_path, capsys, setting, message):
         f"crslab strain-table: config error: {message}\n")
 
 
+def _float_keys():
+    """(command, key, listed) for every key whose value is a float or a
+    list of floats."""
+    for command, schema in sorted(cli._SCHEMAS.items()):
+        for key, (default, _) in sorted(schema.items()):
+            listed = isinstance(default, list)
+            values = default if listed else [default]
+            if all(isinstance(v, float) for v in values):
+                yield command, key, listed
+
+
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("via", ["set", "file"])
+@pytest.mark.parametrize("command, key, listed", list(_float_keys()),
+                         ids=lambda v: v if isinstance(v, str) else "")
+def test_float_keys_reject_nan_and_infinity(monkeypatch, tmp_path, capsys,
+                                            command, key, listed, via, token):
+    # JSON's NaN and Infinity tokens parse to floats; no float key takes
+    # one, so the command never starts
+    def started(*args):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr(cli, "cmd_" + command.replace("-", "_"), started)
+    value = f"[{token}]" if listed else token
+    argv = [command] + (["trace.csv"] if command == "replay" else [])
+    argv += ["--out", str(tmp_path / "o.csv")]
+    if via == "set":
+        argv += ["--set", f"{key}={value}"]
+    else:
+        cfg = tmp_path / "c.json"
+        cfg.write_text(f'{{"experiment": "{command}", "{key}": {value}}}')
+        argv += ["--config", str(cfg)]
+    assert _run(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"crslab {command}: config error: key {key!r}: "
+                          "expected finite float")
+    assert not (tmp_path / "o.csv").exists()
+
+
 def test_config_file_and_flag_layering(tmp_path):
     cfg = tmp_path / "sweep.json"
     cfg.write_text(json.dumps({

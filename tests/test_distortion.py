@@ -155,9 +155,12 @@ def test_crs_peak_is_global_maximum(kind, u):
 def hull_calls(monkeypatch):
     """Every model's __call__ asserts that the hull holds its points, as
     the evaluation contract asks of callers; the list names the model of
-    each call.  Every draw runs in this process, where the patch reaches:
-    a helper process forked earlier would evaluate some draws out of its
-    sight."""
+    each call.  The pixel-only shape kernel reads pixel heights at the
+    nearest pixels of its window grid instead, outside the hull too: that
+    lookup is logged as well, and it answers a far pixel for every node
+    outside the hull, so an estimate that used one would change.  Every
+    draw runs in this process, where the patch reaches: a helper process
+    forked earlier would evaluate some draws out of its sight."""
     _serial(monkeypatch)
     calls = []
     for cls in (NearestProfile, LinearProfile1D, LinearSurface2D,
@@ -168,6 +171,16 @@ def hull_calls(monkeypatch):
             calls.append(type(self).__name__)
             return _call(self, *point)
         monkeypatch.setattr(cls, "__call__", checked)
+
+    def far_outside(self, xs, ys=None, _call=Lattice.grid_nearest_index):
+        out = _call(self, xs, ys)
+        pts = xs if ys is None else np.column_stack(
+            [np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+        outside = ~self.contains(pts).reshape(out.shape)
+        out[outside] = (out[outside] + self.n_pixels // 2) % self.n_pixels
+        calls.append("grid_nearest_index")
+        return out
+    monkeypatch.setattr(Lattice, "grid_nearest_index", far_outside)
     return calls
 
 
@@ -188,8 +201,14 @@ def test_shape_kernel_evaluates_hull_points_only(hull_calls, kind, model):
     peaks = distortion._draw_peaks(lat, 90.0, 3, 12, "Ds", "full")
     whole = distortion._whole_windows(lat, peaks, 90.0)
     assert whole.any() and not whole.all()
-    shape_distortion(model, lat, 90.0, 3, 12, region="full")
+    est = shape_distortion(model, lat, 90.0, 3, 12, region="full")
     assert len(hull_calls) == 3
+    if model is PIX:
+        assert set(hull_calls) == {"grid_nearest_index"}
+        errs = _pixel_shape_errors_per_node(lat, peaks, 90.0, 1.0, 256)
+        assert est.value == float(np.mean(errs))
+        assert est.standard_error == float(np.std(errs, ddof=1)
+                                           / math.sqrt(3))
 
 
 _HULL_EDGE = {"line": 180.0, "square": (45.0, 0.0),
@@ -281,15 +300,16 @@ def test_draw_errors_come_back_in_row_order(kernel, kind, model, policy):
 
 
 class _FailingLattice(Lattice):
-    """A square lattice whose nearest-pixel lookup raises for the window of
-    every listed draw; the draw's index is in the message."""
+    """A square lattice whose nearest-pixel lookup over a window grid
+    raises for the window of every listed draw; the draw's index is in the
+    message."""
 
-    def nearest_index(self, points):
-        centre = np.mean(np.atleast_2d(points), axis=0)
+    def grid_nearest_index(self, xs, ys=None):
+        centre = np.array([np.mean(xs), np.mean(ys)])
         for i, peak in self.failing:
             if np.allclose(centre, peak, rtol=0.0, atol=1e-6):
                 raise ValueError(f"draw {i} failed")
-        return super().nearest_index(points)
+        return super().grid_nearest_index(xs, ys)
 
 
 @pytest.mark.parametrize("failing", [(1, 6), (6,)])
@@ -315,11 +335,20 @@ def test_a_failing_draw_raises_as_a_serial_run_does(monkeypatch, failing):
 def test_window_is_built_once_and_read_only():
     window = distortion._window(2, 90.0, 1.0, 256)
     assert distortion._window(2, 90.0, 1.0, 256) is window
-    for name in ("w", "win", "rx", "ry", "phi_win"):
+    for name in ("w", "win", "disc", "rel", "offsets", "phi"):
         arr = getattr(window, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
     assert window.den > 0.0
+    # the offsets are the disc nodes of the rel x rel grid, row by row
+    rel, win = window.rel, window.win
+    assert window.offsets.shape == (win.size, 2)
+    assert window.offsets.tobytes() == np.column_stack(
+        [rel[win % rel.size], rel[win // rel.size]]).tobytes()
+    assert np.flatnonzero(window.disc).tobytes() == win.tobytes()
+    assert not window.phi[~window.disc].any()
+    line = distortion._window(1, 90.0, 1.0, 256)
+    assert line.offsets.tobytes() == line.rel.tobytes()
 
 
 @pytest.mark.parametrize("estimator", [position_distortion, shape_distortion])
@@ -335,6 +364,63 @@ def test_estimators_reject_bad_wavelength_and_sample_count(
     lat = make_lattice("hexagonal", 30.0, 60.0)
     with pytest.raises(ValueError, match="wavelength|n_samples"):
         estimator(PIX, lat, wavelength, n, 5)
+
+
+@pytest.mark.parametrize("estimator", [position_distortion, shape_distortion])
+@pytest.mark.parametrize("model", [PIX, LIN, CRS],
+                         ids=["pixel-only", "linear", "crs"])
+@pytest.mark.parametrize("amplitude", [0.0, -1.0, math.nan, math.inf,
+                                       -math.inf])
+def test_estimators_reject_bad_amplitude(monkeypatch, estimator, model,
+                                         amplitude):
+    def no_draws(*args):
+        raise AssertionError("drew peaks")
+
+    monkeypatch.setattr(distortion, "_draw_peaks", no_draws)
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    with pytest.raises(ValueError,
+                       match="^amplitude must be finite and positive$"):
+        estimator(model, lat, 90.0, 10, 5, amplitude=amplitude)
+
+
+_PAIRED_LATTICES = {
+    "line": make_lattice("line", 30.0, 360.0),
+    "square": make_lattice("square", 30.0, (300.0, 270.0)),
+    "hexagonal": make_lattice("hexagonal", 30.0, 180.0),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(kind=st.sampled_from(sorted(_PAIRED_LATTICES)),
+       region=st.sampled_from(["full", "interior"]),
+       n=st.integers(1, 9), seed=st.integers(0, 2 ** 32 - 1))
+def test_every_model_sees_the_same_draws(kind, region, n, seed):
+    # the draw kernels are replaced by spies that log the peaks they get:
+    # within each estimator all three models receive the same peaks
+    lat = _PAIRED_LATTICES[kind]
+    seen = {}
+
+    def spy(name):
+        def kernel(*args):
+            peaks = next(a for a in args if isinstance(a, np.ndarray))
+            seen.setdefault(name, []).append(peaks.copy())
+            return np.zeros(len(peaks))
+        return kernel
+
+    with pytest.MonkeyPatch.context() as mp:
+        _serial(mp)
+        for name in ("_vertex_position_errors", "_crs_position_errors",
+                     "_shape_errors"):
+            mp.setattr(distortion, name, spy(name))
+        for estimator in (position_distortion, shape_distortion):
+            got = []
+            for model in (PIX, LIN, CRS):
+                seen.clear()
+                estimator(model, lat, 90.0, n, seed, region=region)
+                [(name, chunks)] = seen.items()
+                got.append(np.concatenate(chunks))
+            assert got[0].shape[0] == n
+            assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
 
 
 # ======================================================================
@@ -560,6 +646,63 @@ def test_shape_2d_matches_per_draw_kernel(kind, region, model):
         errs = _shape_errors_2d_per_draw(model, lat, peaks, 90.0, 1.0, 256)
         assert est.value == float(np.mean(errs))
         assert est.standard_error == float(np.std(errs, ddof=1) / math.sqrt(6))
+
+
+def _pixel_shape_errors_per_node(lattice, peaks, wl, amplitude, ppw):
+    """The pixel-only shape kernel as it was before it read the nearest
+    pixels of the window grid: every window node in the hull looks up its
+    own nearest pixel with ``nearest_index``, and the errors and the ideal
+    shape are scattered onto the full segment or grid for the Simpson
+    sums."""
+    m = ppw + 1
+    rel = np.linspace(-0.5 * wl, 0.5 * wl, m)
+    dx = rel[1] - rel[0]
+    w1 = np.ones(m)
+    w1[1:-1:2] = 4.0
+    w1[2:-1:2] = 2.0
+    if lattice.ndim == 1:
+        rr, w = np.abs(rel), w1 * (dx / 3.0)
+    else:
+        rr = np.hypot(rel[None, :], rel[:, None]).ravel()
+        w = np.outer(w1, w1).ravel() * (dx / 3.0) ** 2
+    win = np.flatnonzero(rr <= 0.5 * wl)
+    phi_win = _raised_cosine(rr[win], amplitude, wl)
+    out = []
+    for peak in peaks:
+        if lattice.ndim == 1:
+            pts = peak + rel[win]
+            fld = BumpField1D(float(peak), amplitude, wl)
+        else:
+            pts = np.column_stack([peak[0] + rel[win % m],
+                                   peak[1] + rel[win // m]])
+            fld = BumpField2D(tuple(peak), amplitude, wl)
+        inside = lattice.contains(pts)
+        pix = sample_pixels(fld, lattice)
+        err, phi2 = np.zeros(w.size), np.zeros(w.size)
+        node = win[inside]
+        err[node] = (phi_win[inside]
+                     - pix[lattice.nearest_index(pts[inside])]) ** 2
+        phi2[node] = phi_win[inside] ** 2
+        out.append(math.sqrt(float(err @ w) / float(phi2 @ w)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("kind, d_over_l", [
+    ("line", 0.1), ("line", 0.35), ("square", 0.1), ("square", 0.3),
+    ("hexagonal", 0.15), ("hexagonal", 0.25)])
+@pytest.mark.parametrize("region", ["interior", "full"])
+def test_pixel_shape_errors_equal_the_per_node_kernel(kind, d_over_l,
+                                                      region):
+    # the grid lookup gives every hull node the pixel nearest_index gives
+    # it, and the Simpson sums run over the same arrays: every per-draw
+    # error is the per-node kernel's, bit for bit
+    lat = lattice_for(kind, d_over_l, SweepConfig())
+    peaks = distortion._draw_peaks(lat, 90.0, 12, 31, "Ds", region)
+    whole = distortion._whole_windows(lat, peaks, 90.0)
+    assert whole.any() and (region == "interior" or not whole.all())
+    got = distortion._shape_errors(PIX, lat, peaks, 90.0, 1.0, 256)
+    ref = _pixel_shape_errors_per_node(lat, peaks, 90.0, 1.0, 256)
+    assert [e.hex() for e in got] == [e.hex() for e in ref]
 
 
 def _shape_errors_1d_reference(model, lattice, peaks, wl, amplitude, ppw):

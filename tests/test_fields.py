@@ -631,6 +631,95 @@ def test_hex_hull_projection_equals_projecting_every_time(case):
     assert lat.nearest_index(pts).tobytes() == want.tobytes()
 
 
+def _grid_points(xs, ys):
+    """The nodes of the tensor grid xs x ys, row by row (xs alone in 1D)."""
+    if ys is None:
+        return xs
+    return np.column_stack([np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
+
+
+@st.composite
+def _lattice_and_grid(draw):
+    """A lattice and a tensor grid around a pixel or a point of its hull,
+    reaching beyond the hull.  Aligned grids step from a pixel by a
+    fraction of the pitch along x and of the row spacing along y, so that
+    their nodes fall on cell edges and, on hexagonal lattices, on the rows
+    between pixel rows where the cell edges meet (v = 1/3, 1/2, 2/3); with
+    an irrational row spacing those ties hold only to roundoff."""
+    kind = draw(st.sampled_from(["line", "square", "hexagonal"]))
+    aligned = draw(st.booleans())
+    if aligned:
+        pitch = draw(st.sampled_from([0.75, 1.0, 3.0, 30.0]))
+    else:
+        pitch = draw(st.floats(0.5, 50.0))
+    if kind == "line":
+        x0 = draw(st.floats(-100.0, 100.0))
+        lat = make_lattice("line", pitch,
+                           (x0, x0 + pitch * draw(st.integers(1, 12))))
+    elif kind == "square":
+        x0, y0 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+        lat = make_lattice("square", pitch,
+                           ((x0, x0 + pitch * draw(st.integers(1, 8))),
+                            (y0, y0 + pitch * draw(st.integers(1, 8)))))
+    else:
+        lat = make_lattice("hexagonal", pitch,
+                           pitch * draw(st.integers(1, 6)))
+    row = pitch * (math.sqrt(3.0) / 2.0 if kind == "hexagonal" else 1.0)
+    span = pitch * draw(st.floats(0.5, 10.0))
+    if aligned:
+        centre = lat.positions[draw(st.integers(0, lat.n_pixels - 1))]
+        centre = np.atleast_1d(centre)
+        sx = pitch / draw(st.sampled_from([2, 4, 8]))
+        sy = row / draw(st.sampled_from([2, 4, 6, 12]))
+        nx, ny = (max(1, int(span / s)) for s in (sx, sy))
+        xs = centre[0] + sx * np.arange(-nx, nx + 1)
+        ys = None if kind == "line" else centre[1] + sy * np.arange(-ny, ny + 1)
+    else:
+        unit = st.floats(0.0, 1.0)
+        u = draw(st.tuples(unit, unit, unit))[:lat.uniforms_per_point()]
+        centre = np.atleast_1d(lat.points_from_uniform(np.array([u]))[0])
+        rel = np.linspace(-0.5 * span, 0.5 * span, draw(st.integers(1, 60)))
+        xs = centre[0] + rel
+        ys = None if kind == "line" else centre[1] + rel
+    return lat, xs, ys
+
+
+@settings(deadline=None, max_examples=300)
+@given(_lattice_and_grid())
+def test_grid_nearest_index_equals_nearest_index_in_the_hull(case):
+    lat, xs, ys = case
+    got = lat.grid_nearest_index(xs) if ys is None \
+        else lat.grid_nearest_index(xs, ys)
+    assert got.shape == ((len(xs),) if ys is None else (len(ys), len(xs)))
+    assert got.dtype == np.int64
+    assert np.all((got >= -1) & (got < lat.n_pixels))
+    pts = _grid_points(xs, ys)
+    inside = lat.contains(pts)
+    assert got.ravel()[inside].tobytes() == \
+        lat.nearest_index(pts)[inside].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagonal"])
+def test_grid_nearest_index_on_cell_edges(kind):
+    # a grid whose nodes sit on cell edges and corners, to roundoff: many
+    # nodes are tied between pixels, and each must still get the pixel
+    # nearest_index gives it
+    if kind == "square":
+        lat = make_lattice("square", 30.0, ((0.0, 150.0), (0.0, 120.0)))
+        xs, ys = np.arange(-3, 44) * 3.75, np.arange(-3, 36) * 3.75
+    else:
+        lat = make_lattice("hexagonal", 30.0, 90.0)
+        xs = np.arange(-100, 101) * 1.875
+        ys = np.arange(-40, 41) * (15.0 * math.sqrt(3.0) / 6.0)
+    pts = _grid_points(xs, ys)
+    inside = lat.contains(pts)
+    _, d = _brute_nearest(lat, pts)
+    tied = np.sum(d <= d.min(axis=1)[:, None] + 1e-9 * lat.pitch, axis=1) > 1
+    assert np.count_nonzero(tied & inside) > 100
+    got = lat.grid_nearest_index(xs, ys).ravel()
+    assert got[inside].tobytes() == lat.nearest_index(pts)[inside].tobytes()
+
+
 # ======================================================================
 # beam lines
 # ======================================================================
