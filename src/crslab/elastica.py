@@ -23,6 +23,11 @@ weight 1e3, 1e5 and 1e7, at most 60 steps each, then 6 projection steps
 (12 from the fallback seed).  A solve converges when its worst violation
 is within 1e-6 of the span.
 
+Every iterate keeps its angles in the box |theta| <= 1.45 rad, where
+cos theta > 0: node x strictly increases, so the beam is a height profile
+over its line and each interior pin is met at a vertical intercept.  The
+seed, the stages' trial points and the projection steps are clipped.
+
 A step works on a few hundred angles, so its cost is the number of NumPy
 and LAPACK calls it makes rather than their arithmetic.  A rewrite must
 keep every floating-point operation and its order: 2.0 * dth / h and
@@ -59,6 +64,7 @@ _MAX_ITER = 60                        # Newton or Gauss-Newton steps per stage
 _PENALTY_STAGES = (1e3, 1e5, 1e7)
 _MAX_SEGMENTS = 2400
 _PROJECTION_STEPS = 6
+_ANGLE_BOX = 1.45                     # |angle| bound: node x increases
 
 
 class ElasticaError(ValueError):
@@ -96,6 +102,7 @@ class ElasticaSolution:
                         polyline distances and the far-end gap
     stage_objectives -- per penalty stage, the penalised objective at each
                         accepted iterate (non-increasing within a stage)
+    n_iterations     -- accepted penalty-stage steps, summed over the stages
     """
 
     nodes: np.ndarray
@@ -111,8 +118,9 @@ class ElasticaSolution:
         return self.segment_length * (self.nodes.shape[0] - 1)
 
     def profile(self, x: np.ndarray) -> np.ndarray:
-        """Height at horizontal position x (arc-length-to-x interpolation of
-        the node polyline).  Outside the span the end heights are held."""
+        """Height at horizontal position x: linear interpolation in x over
+        the nodes, whose x strictly increases.  Outside the span the end
+        heights are held."""
         return np.interp(np.asarray(x, dtype=float),
                          self.nodes[:, 0], self.nodes[:, 1])
 
@@ -128,9 +136,9 @@ class _Constraints:
     per solve.
 
     Rows: far-end x gap, far-end y gap, then one vertical-intercept gap per
-    interior constraint.  If the polyline transiently folds (x not strictly
-    increasing) the vertical intercept is undefined, so those rows pin the
-    arc station closest to the constraint instead (an x and a y row each).
+    interior constraint.  The angles lie in the box |theta| <= _ANGLE_BOX,
+    so node x strictly increases and the vertical through a constraint
+    meets the polyline once (or its last segment's extension, beyond it).
     """
 
     def __init__(self, m, h, xs_c, ys_c, x_end, y_end):
@@ -144,9 +152,7 @@ class _Constraints:
         self._xy = np.zeros((2, m + 1))       # node coordinates
         self._x, self._y = self._xy
         self._end = np.array([x_end, y_end])
-        self._r = np.empty(2 + 2 * k)
-        self._r_mono = self._r[:2 + k]
-        self._fold_j = np.rint(xs_c / h).astype(int)
+        self._r = np.empty(2 + k)
         # row 0 covers every free angle (the end rows), row 1 + k the free
         # angles before pin k's station (free angle i is angle i + 1)
         self._angle = np.arange(1, m - 1)
@@ -154,8 +160,7 @@ class _Constraints:
         self._w = np.empty((2, 1 + k))
         # row 0 is left for the caller's gradient, so that [g | J^T] is the
         # transpose of one block
-        self._gj = np.empty((3 + 2 * k, m - 2))
-        self._gj_mono = self._gj[:3 + k]
+        self._gj = np.empty((3 + k, m - 2))
 
     def residual(self, theta: np.ndarray) -> np.ndarray:
         """r at the angles theta, a view that the next call overwrites."""
@@ -164,23 +169,15 @@ class _Constraints:
         np.sin(theta, out=self._cs[1])
         np.multiply(self.h, self._cs, out=self._steps)
         np.add.accumulate(self._steps, axis=1, out=xy[:, 1:])
-        self._monotone = bool((x[1:] > x[:-1]).all())
-        if self._monotone:
-            # 0 = x[0] < xs_c, so the station j of each pin is the number of
-            # nodes x[1:m] at or left of it
-            j = x[1:m].searchsorted(xs_c, "right")
-            self._t = t = np.tan(theta[j])
-            self._d = d = xs_c - x[j]
-            r = self._r_mono
-            np.add(y[j], d * t, out=r[2:])
-            r[2:] -= self.ys_c
-        else:
-            j = self._fold_j
-            r = self._r
-            np.subtract(x[j], xs_c, out=r[2::2])
-            np.subtract(y[j], self.ys_c, out=r[3::2])
+        # 0 = x[0] < xs_c, so the station j of each pin is the number of
+        # nodes x[1:m] at or left of it
+        self._j = j = x[1:m].searchsorted(xs_c, "right")
+        self._t = t = np.tan(theta[j])
+        self._d = d = xs_c - x[j]
+        r = self._r
+        np.add(y[j], d * t, out=r[2:])
+        r[2:] -= self.ys_c
         np.subtract(xy[:, m], self._end, out=r[:2])
-        self._j = j
         return r
 
     def jacobian(self) -> np.ndarray:
@@ -188,24 +185,17 @@ class _Constraints:
         taken with respect to the free angles theta[1:m-1].  Pin row k
         depends on the free angles before its station j[k], which are the
         first j[k] - 1, and on its own angle theta[j[k]]."""
-        m, h, c, s = self.m, self.h, self._c, self._s
-        gj = self._gj_mono if self._monotone else self._gj
+        m, h, c, s, gj = self.m, self.h, self._c, self._s, self._gj
         np.multiply(-h, s, out=gj[1])
         np.multiply(h, c, out=gj[2])
-        if self._monotone:
-            pins = gj[3:]
-            np.multiply(self._t[:, None], s, out=pins)
-            pins += c
-            pins *= h
-            for row, j, d, t in zip(pins, self._j, self._d, self._t):
-                row[j - 1 if j else 0:] = 0.0       # from the station on
-                if 0 < j < m - 1:                   # the own angle is free
-                    row[j - 1] = d * (1.0 + t * t)
-        else:
-            pairs = gj[3:].reshape(-1, 2, m - 2)
-            pairs[:] = gj[1:3]
-            for pair, j in zip(pairs, self._j):
-                pair[:, j - 1 if j else 0:] = 0.0
+        pins = gj[3:]
+        np.multiply(self._t[:, None], s, out=pins)
+        pins += c
+        pins *= h
+        for row, j, d, t in zip(pins, self._j, self._d, self._t):
+            row[j - 1 if j else 0:] = 0.0           # from the station on
+            if 0 < j < m - 1:                       # the own angle is free
+                row[j - 1] = d * (1.0 + t * t)
         return gj
 
     def curvature(self, r: np.ndarray) -> np.ndarray:
@@ -214,30 +204,23 @@ class _Constraints:
         a pin's own angle and the angles before it.
 
         Per row, the second derivatives are -h cos(theta_i) (end x) and
-        -h sin(theta_i) (end y) on every free angle; a vertical-intercept
-        pin row has h (t cos(theta_i) - sin(theta_i)) on the angles before
-        its station j and 2 (x_c - x_j) sec^2(theta_j) tan(theta_j) on its
-        own; a folded pin's x and y rows have the end rows' terms on the
-        angles before its station."""
+        -h sin(theta_i) (end y) on every free angle; a pin row has
+        h (t cos(theta_i) - sin(theta_i)) on the angles before its station j
+        and 2 (x_c - x_j) sec^2(theta_j) tan(theta_j) on its own."""
         m, w, before = self.m, self._w, self._before
         # (weights of the cos terms, of the sin terms) per row of before,
         # whose first row, all ones, holds the end rows
         w[:, 0] = r[:2]
-        if self._monotone:
-            np.multiply(r[2:], -self._t, out=w[0, 1:])
-            w[1, 1:] = r[2:]
-        else:
-            w[0, 1:] = r[2::2]
-            w[1, 1:] = r[3::2]
+        np.multiply(r[2:], -self._t, out=w[0, 1:])
+        w[1, 1:] = r[2:]
         np.less(self._angle, self._j[:, None], out=before[1:])
         cs = w @ before
         cs *= self._cs[:, 1:m - 1]
         out = cs[0] + cs[1]
         out *= -self.h
-        if self._monotone:
-            for j, d, t, rk in zip(self._j, self._d, self._t, r[2:]):
-                if 0 < j < m - 1:
-                    out[j - 1] += 2.0 * (d * (1.0 + t * t)) * (t * rk)
+        for j, d, t, rk in zip(self._j, self._d, self._t, r[2:]):
+            if 0 < j < m - 1:
+                out[j - 1] += 2.0 * (d * (1.0 + t * t)) * (t * rk)
         return out
 
 
@@ -354,7 +337,8 @@ def _gn_stage(theta_free, rows, weight, bend_ldl, max_steps, newton):
                 return theta_free, trace
             cand = alpha * step
             cand += theta_free
-            np.minimum(np.maximum(cand, -1.45, out=cand), 1.45, out=cand)
+            np.minimum(np.maximum(cand, -_ANGLE_BOX, out=cand), _ANGLE_BOX,
+                       out=cand)
             fc = objective(cand)
             if fc <= f + 1e-4 * alpha * slope:
                 theta_free, f = cand, fc
@@ -379,7 +363,8 @@ def _initial_angles(con, m, total_len, initial):
     alternating, so the seeded curve already satisfies the pins.  A single
     full-span arch would cross the interior pins and, for small slack,
     leave the optimiser at the flat saddle where the end-shortening
-    Jacobian vanishes.
+    Jacobian vanishes.  The angles are clipped into the angle box, which
+    only a hint that runs backwards or rises steeply leaves.
     """
     xs = con[:, 0]
     if initial is not None:
@@ -415,6 +400,8 @@ def _initial_angles(con, m, total_len, initial):
     rx = np.interp(stations, s_cum, px)
     ry = np.interp(stations, s_cum, py)
     theta = np.arctan2(ry[1:] - ry[:-1], rx[1:] - rx[:-1])
+    np.minimum(np.maximum(theta, -_ANGLE_BOX, out=theta), _ANGLE_BOX,
+               out=theta)
     theta[0] = 0.0
     theta[-1] = 0.0
     return theta
@@ -422,7 +409,8 @@ def _initial_angles(con, m, total_len, initial):
 
 def _project(theta, rows, steps):
     """Gauss-Newton projection onto the constraint set (minimum-norm
-    steps).  Returns the projected angles and the final max |residual|."""
+    steps), each step's free angles clipped into the angle box.  Returns
+    the projected angles and the final max |residual|."""
     theta = theta.copy()
     free = theta[1:rows.m - 1]
     for _ in range(steps):
@@ -433,6 +421,8 @@ def _project(theta, rows, steps):
         jjt = jac @ jac.T
         jjt.ravel()[::len(r) + 1] += 1e-12 * max(jjt.trace(), 1e-30)
         free -= jac.T @ dgesv(jjt, r)[2]
+        np.minimum(np.maximum(free, -_ANGLE_BOX, out=free), _ANGLE_BOX,
+                   out=free)
     return theta, float(abs(rows.residual(theta)).max())
 
 
@@ -463,6 +453,8 @@ def normalize_beam(constraints: Sequence[Tuple[float, float]],
     con = np.asarray(constraints, dtype=float)
     if con.ndim != 2 or con.shape[1] != 2 or con.shape[0] < 2:
         raise ValueError("need at least two (x, y) constraints")
+    if not np.isfinite(con).all():
+        raise ValueError("constraints must be finite")
     if (con[1:, 0] - con[:-1, 0] <= 0.0).any():
         raise ValueError("constraints must be sorted by strictly increasing x")
     if not np.isfinite(excess_length) or excess_length < 0.0:
@@ -572,6 +564,6 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     nodes = nodes_n * scale + origin
     sol = ElasticaSolution(nodes, h * scale, energy_n / scale, excess_length,
                            worst * scale, stage_objectives, n_iter)
-    if worst > _TOL:
+    if not worst <= _TOL:                   # a NaN residual fails too
         raise ElasticaConvergenceError("elastica did not converge", sol)
     return sol

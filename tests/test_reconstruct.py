@@ -284,6 +284,17 @@ def test_crs_surface_from_state_checks_every_beam_before_solving(monkeypatch):
     assert calls == []
 
 
+def test_crs_surface_from_state_rejects_non_finite_heights(monkeypatch):
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    heights = np.zeros(lat.n_pixels)
+    heights[lat.n_pixels // 2] = math.nan
+    excess = np.ones(len(lat.beam_lines()))
+    calls = _counting_solver(monkeypatch)
+    with pytest.raises(ValueError, match="constraints must be finite"):
+        CrsSurface2D.from_state(lat, heights, excess)
+    assert calls == []
+
+
 def test_crs_surface_from_state_equals_per_beam_solves(monkeypatch):
     lat = make_lattice("square", 30.0, (90.0, 60.0))
     fld = BumpField2D(peak=(40.0, 25.0), amplitude=2.0, wavelength=90.0)
