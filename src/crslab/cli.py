@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 usage error, 2 config or input-data error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -104,26 +105,58 @@ def _optional(check):
     return wrapped
 
 
+# CLI key -> (field, validator) of config objects' keys: the field's default
+_FIELD_KEYS: Dict[type, Dict[str, Tuple[str, Callable]]] = {
+    SweepConfig: {
+        "wavelength_mm": ("wavelength", _pos(float)),
+        "amplitude_mm": ("amplitude", _pos(float)),
+        "n_position": ("n_position", _pos(int)),
+        "n_shape": ("n_shape", _pos(int)),
+        "n_position_crs": ("n_position_crs", _pos(int)),
+        "n_shape_crs": ("n_shape_crs", _pos(int)),
+        "seed": ("seed", _nonneg(int)),
+        "span_wavelengths": ("span_wavelengths", _pos(float)),
+        "radius_wavelengths": ("radius_wavelengths", _pos(float)),
+        "hex_rings": ("hex_rings", _optional(_pos(int))),
+        "grid_points": ("grid_points", _optional(_pos(int))),
+        "include_interior": ("include_interior", _typed(bool)),
+        "points_per_wavelength": ("points_per_wavelength", _pos(int)),
+        "no_peak_policy": ("no_peak_policy", _choice("nearest_capped", "discard")),
+    },
+    ServoSpec: {
+        "servo_travel_mm": ("travel", _pos(float)),
+        "servo_speed_s_per_cm": ("speed_s_per_cm", _pos(float)),
+    },
+    SessionConfig: {
+        "dt_ms": ("dt_ms", _pos(float)),
+        "vr_originated": ("vr_originated", _typed(bool)),
+        "track_peaks": ("track_peaks", _typed(bool)),
+        "probe_every_ms": ("probe_every_ms", _pos(float)),
+        "log_every_ms": ("log_every_ms", _pos(float)),
+    },
+}
+
+
+def _field_keys(config_type: type) -> Dict[str, Tuple[object, Callable]]:
+    """Schema entries, key -> (default, validator), of config_type's keys."""
+    defaults = {f.name: f.default for f in dataclasses.fields(config_type)}
+    return {key: (defaults[name], check)
+            for key, (name, check) in _FIELD_KEYS[config_type].items()}
+
+
+def _build(config_type: type, cfg: dict, **given):
+    """A config_type from its keys' values in cfg and the given fields."""
+    return config_type(**given, **{
+        name: cfg[key] for key, (name, _) in _FIELD_KEYS[config_type].items()})
+
+
 # key -> (default, validator); the "experiment" key is handled separately
 _SCHEMAS: Dict[str, Dict[str, Tuple[object, Callable]]] = {
     "distortion-sweep": {
         "lattice": ("line", _choice("line", "square", "hexagonal")),
         "models": (["pixel-only", "linear", "crs"], _model_list),
         "d_over_l": ([0.1, 0.2, 0.3, 0.4, 0.5], _list_of(_pos, float)),
-        "wavelength_mm": (90.0, _pos(float)),
-        "amplitude_mm": (1.0, _pos(float)),
-        "n_position": (20000, _pos(int)),
-        "n_shape": (400, _pos(int)),
-        "n_position_crs": (1000, _pos(int)),
-        "n_shape_crs": (300, _pos(int)),
-        "seed": (20240, _nonneg(int)),
-        "span_wavelengths": (4.0, _pos(float)),
-        "radius_wavelengths": (2.0, _pos(float)),
-        "hex_rings": (None, _optional(_pos(int))),
-        "grid_points": (None, _optional(_pos(int))),
-        "include_interior": (True, _typed(bool)),
-        "points_per_wavelength": (256, _pos(int)),
-        "no_peak_policy": ("nearest_capped", _choice("nearest_capped", "discard")),
+        **_field_keys(SweepConfig),
     },
     "phase-diagram": {
         "e_over_beta_min": (1e4, _pos(float)),
@@ -146,13 +179,8 @@ _SCHEMAS: Dict[str, Dict[str, Tuple[object, Callable]]] = {
         "lattice": ("hexagonal", _choice("square", "hexagonal")),
         "pitch_mm": (30.0, _pos(float)),
         "extent_mm": (60.0, _pos(float)),
-        "servo_travel_mm": (9.0, _pos(float)),
-        "servo_speed_s_per_cm": (0.08, _pos(float)),
-        "dt_ms": (1.0, _pos(float)),
-        "vr_originated": (False, _typed(bool)),
-        "track_peaks": (True, _typed(bool)),
-        "probe_every_ms": (6.0, _pos(float)),
-        "log_every_ms": (5.0, _pos(float)),
+        **_field_keys(ServoSpec),
+        **_field_keys(SessionConfig),
     },
     "strain-table": {
         "cell_mm": ([4.0, 1.0], _list_of(_pos, float)),
@@ -267,16 +295,7 @@ def _write(text: str, out: str) -> None:
 # ======================================================================
 
 def cmd_distortion_sweep(cfg: dict, out: str) -> int:
-    sweep_cfg = SweepConfig(
-        wavelength=cfg["wavelength_mm"], amplitude=cfg["amplitude_mm"],
-        n_position=cfg["n_position"], n_shape=cfg["n_shape"],
-        n_position_crs=cfg["n_position_crs"], n_shape_crs=cfg["n_shape_crs"],
-        seed=cfg["seed"], span_wavelengths=cfg["span_wavelengths"],
-        radius_wavelengths=cfg["radius_wavelengths"],
-        hex_rings=cfg["hex_rings"], grid_points=cfg["grid_points"],
-        include_interior=cfg["include_interior"],
-        points_per_wavelength=cfg["points_per_wavelength"],
-        no_peak_policy=cfg["no_peak_policy"])
+    sweep_cfg = _build(SweepConfig, cfg)
     estimates = distortion_sweep(cfg["models"], cfg["d_over_l"],
                                  cfg["lattice"], sweep_cfg)
     rows: List[Sequence[object]] = []
@@ -344,13 +363,8 @@ def cmd_replay(cfg: dict, out: str, trace_path: str) -> int:
                            cfg["extent_mm"] if cfg["lattice"] == "hexagonal"
                            else ((0.0, cfg["extent_mm"]),
                                  (0.0, cfg["extent_mm"])))
-    servo = ServoSpec(travel=cfg["servo_travel_mm"],
-                      speed_s_per_cm=cfg["servo_speed_s_per_cm"])
-    session = SessionConfig(lattice=lattice, servo=servo, dt_ms=cfg["dt_ms"],
-                            vr_originated=cfg["vr_originated"],
-                            track_peaks=cfg["track_peaks"],
-                            probe_every_ms=cfg["probe_every_ms"],
-                            log_every_ms=cfg["log_every_ms"])
+    session = _build(SessionConfig, cfg, lattice=lattice,
+                     servo=_build(ServoSpec, cfg))
     log = run_session(trace, session)
     text = _table("replay", cfg,
                   ("t_ms", "channel", "commanded_mm", "actual_mm"), (), None)

@@ -57,8 +57,7 @@ class ServoSpec:
     speed_s_per_cm: float = 0.08
 
     def __post_init__(self):
-        if self.travel <= 0.0 or self.speed_s_per_cm <= 0.0:
-            raise ValueError("travel and speed must be positive")
+        _check_positive(self, "travel", "speed_s_per_cm")
 
     @property
     def rate_mm_per_ms(self) -> float:
@@ -67,6 +66,15 @@ class ServoSpec:
     @property
     def full_travel_ms(self) -> float:
         return self.travel / self.rate_mm_per_ms
+
+
+def _check_positive(spec, *names: str) -> None:
+    """Raise ValueError naming the first of the fields that is not a
+    positive finite number."""
+    for name in names:
+        value = getattr(spec, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be positive and finite, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -260,6 +268,9 @@ class SessionConfig:
     track_peaks: bool = True
     probe_every_ms: float = 6.0
     log_every_ms: float = 5.0
+
+    def __post_init__(self):
+        _check_positive(self, "dt_ms", "probe_every_ms", "log_every_ms")
 
     @property
     def processing_delay_ms(self) -> float:

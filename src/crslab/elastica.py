@@ -370,7 +370,8 @@ def _initial_angles(con, m, total_len, initial):
     if initial is not None:
         px, py = np.asarray(initial[0], float), np.asarray(initial[1], float)
     else:
-        ys = con[:, 1]
+        # as normalize_beam judges pins: within 1e-14 of the span is zero
+        ys = np.where(abs(con[:, 1]) <= 1e-14, 0.0, con[:, 1])
         px = np.linspace(xs[0], xs[-1], 16 * m + 1)
         if len(xs) > 3:
             py = PchipInterpolator(xs, ys)(px)
@@ -537,15 +538,16 @@ def solve_elastica_1d(constraints: Sequence[Tuple[float, float]],
     theta[1:m - 1] = theta_free
     theta, worst = _project(theta, rows, _PROJECTION_STEPS)
 
-    if worst > _TOL:
+    if not worst <= _TOL:
         # The penalty cascade cannot resolve excesses far below the scale
         # set by the stage weights (the flat state then wins every stage
         # and is a saddle of the end-shortening constraint).  The pchip
         # plus per-gap arch seed is already near-feasible there, so a
-        # plain projection from it recovers the constraint set.
+        # plain projection from it recovers the constraint set.  A NaN
+        # residual (a NaN hint gives one) tries it too, and any other wins.
         theta_fb = _initial_angles(conn, m, total, None)
         theta_fb, worst_fb = _project(theta_fb, rows, 2 * _PROJECTION_STEPS)
-        if worst_fb < worst:
+        if worst_fb < worst or math.isnan(worst):
             theta, worst = theta_fb, worst_fb
 
     nodes_n = np.zeros((m + 1, 2))

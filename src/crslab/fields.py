@@ -17,8 +17,9 @@ All lengths are millimetres.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from functools import cached_property
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -273,9 +274,7 @@ class Lattice:
             x = self.positions[:, 0]
             y = self.positions[:, 1]
             return ((float(x.min()), float(x.max())), (float(y.min()), float(y.max())))
-        k = int(np.max(np.abs(self.axial).max(axis=1).max()))
-        k = max(k, int(np.abs(self.axial[:, 0] + self.axial[:, 1]).max()))
-        return k * self.pitch
+        return self._rings * self.pitch
 
     # ---------------- membership ----------------
 
@@ -377,9 +376,8 @@ class Lattice:
             return iy * self.grid_shape[0] + ix
         q, r = _hex_round(*self._onto_hull_axial(*self.fractional_axial(p)))
         # a point in the hull rounds to a pixel, so no site needs a mask
-        table = self._axial_table()
-        k = (table.shape[0] - 1) // 2
-        return table.ravel().take((q + k) * (2 * k + 1) + r + k)
+        k = self._rings
+        return self._axial_table.take((q + k) * (2 * k + 1) + r + k)
 
     def grid_nearest_index(self, xs: Array, ys: Optional[Array] = None) -> Array:
         """``nearest_index`` over the tensor grid of the increasing
@@ -424,10 +422,9 @@ class Lattice:
         ends = cut + np.arange(0, ys.size * t.size, t.size)[:, None]
         # flat axial-table index; a cell beyond the table is clipped to some
         # entry, which only nodes outside the hull can fall in
-        table = self._axial_table()
-        k = (table.shape[0] - 1) // 2
+        k = self._rings
         flat = ((n + k) * (2 * k + 1) + r0 + k)[..., None] + np.arange(2)
-        cells = table.ravel().take(flat.astype(np.int64).ravel(), mode="clip")
+        cells = self._axial_table.take(flat.astype(np.int64).ravel(), mode="clip")
         out = np.repeat(cells, np.diff(ends.ravel(), prepend=0))
         out = out.reshape(ys.size, t.size)
         for j, e in zip(*np.nonzero(near)):
@@ -466,25 +463,16 @@ class Lattice:
 
     def axial_index(self, q: Array, r: Array) -> Array:
         """Pixel index at integer axial coordinates, -1 where there is none."""
-        table = self._axial_table()
-        k = (table.shape[0] - 1) // 2
+        k = self._rings
         valid = (np.abs(q) <= k) & (np.abs(r) <= k)
-        return np.where(valid, table[np.clip(q + k, 0, 2 * k),
-                                     np.clip(r + k, 0, 2 * k)], -1)
+        return np.where(valid, self._axial_table[np.clip(q + k, 0, 2 * k),
+                                                 np.clip(r + k, 0, 2 * k)], -1)
 
     def _onto_hull_axial(self, qf: Array, rf: Array) -> Tuple[Array, Array]:
         """Euclidean projection of fractional axial coordinates onto the
-        hull hexagon max(|q|, |r|, |s|) <= k, where s = -q - r.
-
-        When the extents of qf, rf and qf + rf put every point inside the
-        hexagon with a relative margin of 1e-9, which roundoff in the
-        per-point test below cannot cross, the points are returned as
-        they are without that test."""
-        k = (self._axial_table().shape[0] - 1) // 2
-        lim = k * (1.0 - 1e-9)
-        if all(-lim <= a.min(initial=lim) and a.max(initial=-lim) <= lim
-               for a in (qf, rf, qf + rf)):
-            return qf, rf
+        hull hexagon max(|q|, |r|, |s|) <= k, where s = -q - r: points in
+        the hexagon come back as they are."""
+        k = self._rings
         # max(|q|, |r|, |s|) is half their sum, since q + r + s = 0
         out = np.flatnonzero(np.abs(qf) + np.abs(rf) + np.abs(qf + rf) > 2 * k)
         if out.size == 0:
@@ -504,14 +492,19 @@ class Lattice:
         qf[out], rf[out] = c[0], c[1]
         return qf, rf
 
+    @cached_property
+    def _rings(self) -> int:
+        """Ring count k of a hexagonal lattice: its largest |q|, |r|, |q + r|."""
+        return int(max(np.abs(self.axial).max(),
+                       np.abs(self.axial.sum(axis=1)).max()))
+
+    @cached_property
     def _axial_table(self) -> Array:
-        if not hasattr(self, "_axial_lookup"):
-            k = int(np.abs(self.axial).max())
-            k = max(k, int(np.abs(self.axial.sum(axis=1)).max()))
-            table = -np.ones((2 * k + 1, 2 * k + 1), dtype=np.int64)
-            table[self.axial[:, 0] + k, self.axial[:, 1] + k] = np.arange(self.n_pixels)
-            object.__setattr__(self, "_axial_lookup", table)
-        return self._axial_lookup
+        """Pixel index of axial (q, r) at [q + k, r + k], else -1."""
+        k = self._rings
+        table = -np.ones((2 * k + 1, 2 * k + 1), dtype=np.int64)
+        table[self.axial[:, 0] + k, self.axial[:, 1] + k] = np.arange(self.n_pixels)
+        return table
 
     # ---------------- beam lines ----------------
 
@@ -523,11 +516,27 @@ class Lattice:
         Lines with fewer than two pixels are not beams.  Line lattices
         have none and raise ValueError.
         """
-        if not hasattr(self, "_beams"):
-            object.__setattr__(self, "_beams", self._build_beam_lines())
         return self._beams
 
-    def _build_beam_lines(self) -> List[BeamLine]:
+    def beam_index(self, family: int, key: Array) -> Array:
+        """Index in ``beam_lines()`` of the beam on each line ``key`` of a
+        direction family, -1 where the family has no beam on that line."""
+        table, base = self._beam_table
+        return table[family].take(np.asarray(key) - base, mode="clip")
+
+    @cached_property
+    def _beam_table(self) -> Tuple[Array, int]:
+        """Beam ids at [family, key - base], -1 where no beam lies, with a
+        column of -1 beyond either end of the beams' keys for clipping."""
+        families = np.array([b.family for b in self._beams])
+        keys = np.array([b.key for b in self._beams], dtype=np.int64)
+        base = int(keys.min()) - 1
+        table = np.full((3, int(keys.max()) - base + 2), -1, dtype=np.int64)
+        table[families, keys - base] = np.arange(len(keys))
+        return table, base
+
+    @cached_property
+    def _beams(self) -> List[BeamLine]:
         # group pixels by line key: square rows (family 0) and columns
         # (family 1) of the row-major index; hexagonal r (family 0),
         # q (family 1) and q + r (family 2)
@@ -674,18 +683,13 @@ def make_lattice(kind: str, pitch: float, extents) -> Lattice:
         k = int(math.floor(radius / pitch + 1e-9))
         if k < 1:
             raise ValueError("degenerate lattice")
-        qs, rs, pts = [], [], []
-        for q in range(-k, k + 1):
-            for r in range(-k, k + 1):
-                if abs(q + r) > k:
-                    continue
-                x = pitch * (q + 0.5 * r)
-                y = pitch * (_SQRT3 / 2.0) * r
-                qs.append(q)
-                rs.append(r)
-                pts.append((x, y))
-        pos = np.array(pts)
-        axial = np.column_stack([qs, rs]).astype(np.int64)
+        # the sites with max(|q|, |r|, |q + r|) <= k
+        q, r = np.meshgrid(np.arange(-k, k + 1), np.arange(-k, k + 1),
+                           indexing="ij")
+        axial = np.column_stack([q.ravel(), r.ravel()]).astype(np.int64)
+        axial = axial[np.abs(axial.sum(axis=1)) <= k]
+        q, r = axial.T
+        pos = np.column_stack([pitch * (q + 0.5 * r), pitch * (_SQRT3 / 2.0) * r])
         order = np.lexsort((pos[:, 0], pos[:, 1]))  # enumerate by (y, x)
         lat = Lattice(kind, pitch, radius, pos[order], axial=axial[order],
                       origin2d=np.array([0.0, 0.0]))

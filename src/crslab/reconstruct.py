@@ -330,7 +330,6 @@ class CrsSurface2D:
                     raise sol
             self.solutions.append(sol)
             self._converged_pins.append(converged)
-        self._index_beams()
 
     def _hint(self, i: int, hint_field: Optional[BumpField2D],
               previous: Optional["CrsSurface2D"]):
@@ -352,27 +351,6 @@ class CrsSurface2D:
             return hs, restr(hs)
         return None
 
-    # ------------------------------------------------------------------
-
-    def _index_beams(self) -> None:
-        """Key -> beam lookup tables per direction family (a square lattice
-        leaves the third family empty)."""
-        keys = [np.array([b.key for b in self.beams if b.family == f],
-                         dtype=np.int64) for f in range(3)]
-        lo = [int(k.min()) if k.size else 0 for k in keys]
-        hi = [int(k.max()) if k.size else -1 for k in keys]
-        self._fam_table = tuple(
-            np.full(hi[f] - lo[f] + 1, -1, dtype=np.int64) for f in range(3))
-        self._fam_base = tuple(lo)
-        for i, beam in enumerate(self.beams):
-            self._fam_table[beam.family][beam.key - lo[beam.family]] = i
-
-    def _beam_id(self, family: int, key: np.ndarray) -> np.ndarray:
-        table = self._fam_table[family]
-        k = key - self._fam_base[family]
-        valid = (k >= 0) & (k < table.shape[0])
-        return np.where(valid, table[np.clip(k, 0, table.shape[0] - 1)], -1)
-
     extended = _extended
 
     def peak_candidates(self) -> np.ndarray:
@@ -393,8 +371,8 @@ class CrsSurface2D:
             # bounding lines: rows iy, iy+1 (family 0) and columns ix, ix+1
             # (family 1); distances are plain coordinate offsets
             _, _, ix, iy = _locate_square(lat, p)
-            ids = np.column_stack([self._beam_id(0, iy), self._beam_id(0, iy + 1),
-                                   self._beam_id(1, ix), self._beam_id(1, ix + 1)])
+            ids = np.column_stack([lat.beam_index(0, iy), lat.beam_index(0, iy + 1),
+                                   lat.beam_index(1, ix), lat.beam_index(1, ix + 1)])
             ox, oy = lat.origin2d
             yr0 = oy + iy * lat.pitch
             xc0 = ox + ix * lat.pitch
@@ -410,8 +388,8 @@ class CrsSurface2D:
             key0 = np.where(up, ri, ri + 1)
             key1 = np.where(up, qi, qi + 1)
             key2 = qi + ri + 1
-            ids = np.column_stack([self._beam_id(0, key0), self._beam_id(1, key1),
-                                   self._beam_id(2, key2)])
+            ids = np.column_stack([lat.beam_index(0, key0), lat.beam_index(1, key1),
+                                   lat.beam_index(2, key2)])
             # perpendicular distances: the axial fractions are affine in
             # position, and one axial unit spans a row spacing of
             # sqrt(3)/2 * d

@@ -6,6 +6,7 @@ import math
 import pytest
 
 from crslab import cli
+from crslab.control import SessionLog
 
 
 def _run(argv):
@@ -170,6 +171,35 @@ def test_validate_config_command(tmp_path, capsys):
     cfg.write_text(json.dumps({"experiment": "strain-table",
                                "cell_mm": "four"}))
     assert _run(["validate-config", str(cfg)]) == 2
+
+
+@pytest.mark.parametrize("command, digest", [
+    ("distortion-sweep", "89c067c88502"),
+    ("phase-diagram", "c404f5494838"),
+    ("elastica-demo", "e997e77fc6b1"),
+    ("replay", "f35d16c2406e"),
+    ("strain-table", "f3236b0519b7"),
+])
+def test_default_config_hashes_are_pinned(command, digest):
+    # the keys that set SweepConfig, ServoSpec and SessionConfig fields take
+    # those fields' defaults; each CSV header prints this hash
+    assert cli._config_hash(cli._load_config(command, None, (), None)) == digest
+
+
+def test_replay_builds_its_session_from_the_config(monkeypatch, tmp_path):
+    seen = []
+    monkeypatch.setattr(cli, "run_session",
+                        lambda trace, config: seen.append(config) or
+                        SessionLog([], [], [], []))
+    trace = tmp_path / "trace.csv"
+    trace.write_text("t_ms,x_f_mm,y_f_mm,z_f_mm\n0,0,0,2\n")
+    assert _run(["replay", str(trace), "--out", str(tmp_path / "o.csv"),
+                 "--set", "servo_travel_mm=7", "--set", "probe_every_ms=4",
+                 "--set", "lattice=square"]) == 0
+    (config,) = seen
+    assert config.servo == cli.ServoSpec(travel=7.0)
+    assert (config.probe_every_ms, config.log_every_ms) == (4.0, 5.0)
+    assert config.lattice.kind == "square"
 
 
 # ======================================================================

@@ -41,6 +41,26 @@ def test_servo_rate_constants_are_exact():
         ServoSpec(speed_s_per_cm=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("travel", math.inf), ("travel", math.nan), ("travel", 0.0),
+    ("speed_s_per_cm", math.inf), ("speed_s_per_cm", math.nan),
+    ("speed_s_per_cm", -1.0),
+    ("dt_ms", math.inf), ("dt_ms", math.nan), ("dt_ms", 0.0),
+    ("probe_every_ms", math.nan), ("probe_every_ms", math.inf),
+    ("probe_every_ms", -6.0),
+    ("log_every_ms", math.nan), ("log_every_ms", math.inf),
+    ("log_every_ms", 0.0),
+])
+def test_servo_and_session_reject_non_positive_or_non_finite(field, value):
+    # the CLI rejects these values too; library callers got an overflow, a
+    # division by zero, or peak tracking and logging that silently stop
+    with pytest.raises(ValueError, match=field):
+        if field in ("travel", "speed_s_per_cm"):
+            ServoSpec(**{field: value})
+        else:
+            _session_config(**{field: value})
+
+
 def test_full_stroke_takes_exactly_72_steps():
     servo = ServoSpec()
     state = np.zeros(1)

@@ -2,6 +2,7 @@
 convergence order, scale behaviour, and the small-deflection limit."""
 import math
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -718,7 +719,7 @@ def _ref_initial_angles(con, m, total_len, initial):
     if initial is not None:
         px, py = np.asarray(initial[0], float), np.asarray(initial[1], float)
     else:
-        ys = con[:, 1]
+        ys = np.where(np.abs(con[:, 1]) <= 1e-14, 0.0, con[:, 1])
         px = np.linspace(xs[0], xs[-1], 16 * m + 1)
         if len(xs) > 3:
             py = PchipInterpolator(xs, ys)(px)
@@ -953,14 +954,42 @@ def test_non_finite_pins_are_rejected(con):
         solve_elastica_1d(con, 1.0)
 
 
-def test_nan_residual_is_not_converged():
-    # a NaN hint carries NaN through the stages and the projection; its
-    # NaN residual fails every comparison, the tolerance test included
-    xs = np.linspace(0.0, 60.0, 9)
+def test_nan_residual_is_not_converged(monkeypatch):
+    # NaN seeds, the hint-free fallback's too, carry NaN through the stages
+    # and the projections; the NaN residual fails the tolerance test
+    monkeypatch.setattr(elastica, "_initial_angles",
+                        lambda con, m, total, initial: np.full(m, math.nan))
     with pytest.raises(ElasticaConvergenceError) as info:
-        solve_elastica_1d([(0.0, 0.0), (30.0, 1.0), (60.0, 0.0)], 1.0,
-                          initial=(xs, np.full(9, math.nan)))
+        solve_elastica_1d([(0.0, 0.0), (30.0, 1.0), (60.0, 0.0)], 1.0)
     assert math.isnan(info.value.residual)
+
+
+def test_nan_hint_falls_back_to_the_hint_free_seed():
+    # the hinted solve ends with a NaN residual, which the hint-free
+    # fallback's finite one beats
+    con = [(0.0, 0.0), (30.0, 1.0), (60.0, 0.0)]
+    xs = np.linspace(0.0, 60.0, 9)
+    sol = solve_elastica_1d(con, 1.0, initial=(xs, np.full(9, math.nan)))
+    assert sol.residual <= elastica._TOL * 60.0
+    assert np.isfinite(sol.nodes).all()
+
+
+_TINY = 2.2250738585072014e-308       # the smallest normal float
+
+
+@pytest.mark.parametrize("con, excess", [
+    ([(0.0, 0.0), (20.0, _TINY), (40.0, 0.0), (60.0, _TINY), (80.0, 0.0)],
+     0.5),
+    ([(0.0, 0.0), (20.0, _TINY), (40.0, 0.0), (60.0, 5.0), (80.0, 0.0)],
+     2.0),
+], ids=["flat", "one-raised-pin"])
+def test_seed_reads_tiny_pins_as_zero(con, excess):
+    # pins within 1e-14 of the span are at zero for normalize_beam, and
+    # the pchip seed reads them so too: raw, their slopes overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sol = solve_elastica_1d(con, excess)
+    assert sol.residual <= elastica._TOL * 80.0
 
 
 def test_input_validation():

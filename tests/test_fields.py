@@ -575,23 +575,27 @@ def test_nearest_index_hex_outside_hull():
     assert np.array_equal(lat.nearest_index(pts), _brute_nearest(lat, pts)[0])
 
 
-def _project_every_time(lat, qf, rf):
-    """`Lattice._onto_hull_axial` as it was before it learned to skip its
-    per-point outside test when the extents put every point inside."""
-    k = (lat._axial_table().shape[0] - 1) // 2
-    out = np.flatnonzero(np.abs(qf) + np.abs(rf) + np.abs(qf + rf) > 2 * k)
-    if out.size == 0:
-        return qf, rf
-    c = np.stack([qf[out], rf[out], -qf[out] - rf[out]])
-    j = np.argmax(np.abs(c), axis=0)
-    cols = np.arange(out.size)
-    edge = np.copysign(float(k), c[j, cols])
-    lo = np.where(edge > 0.0, -k, 0.0)
-    c = np.clip(c + 0.5 * (c[j, cols] - edge), lo, lo + k)
-    c[j, cols] = edge
-    qf, rf = qf.copy(), rf.copy()
-    qf[out], rf[out] = c[0], c[1]
-    return qf, rf
+def _nearest_hull_point(lat, qf, rf):
+    """The nearest point of the hull hexagon to each point, in fractional
+    axial coordinates, found in the plane: the nearest point over the
+    hexagon's six edges, or the point itself where it is in the hull."""
+    k = int(np.abs(lat.axial).max())
+    corners = np.array([(k, 0), (0, k), (-k, k), (-k, 0), (0, -k), (k, -k)])
+
+    def plane(q, r):
+        return np.stack([q + 0.5 * r, (math.sqrt(3.0) / 2.0) * r], axis=-1)
+
+    p = plane(qf, rf)
+    a = plane(*corners.T)
+    ab = plane(*np.roll(corners, -1, axis=0).T) - a
+    t = np.clip(np.einsum("pej,ej->pe", p[:, None] - a, ab)
+                / np.einsum("ej,ej->e", ab, ab), 0.0, 1.0)
+    feet = a + t[..., None] * ab
+    nearest = np.argmin(np.linalg.norm(feet - p[:, None], axis=2), axis=1)
+    x, y = feet[np.arange(len(p)), nearest].T
+    inside = np.abs(qf) + np.abs(rf) + np.abs(qf + rf) <= 2 * k
+    r = y / (math.sqrt(3.0) / 2.0)
+    return np.where(inside, qf, x - 0.5 * r), np.where(inside, rf, r)
 
 
 @st.composite
@@ -620,14 +624,21 @@ def _hex_lattice_and_cloud(draw):
 
 @settings(deadline=None, max_examples=300)
 @given(_hex_lattice_and_cloud())
-def test_hex_hull_projection_equals_projecting_every_time(case):
+def test_hex_hull_projection_is_the_nearest_hull_point(case):
+    # points in the hull come back bit for bit, the others land on the
+    # nearest point of the hull's edges; nearest_index rounds the projection
     lat, pts = case
     qf, rf = lat.fractional_axial(pts)
     got_q, got_r = lat._onto_hull_axial(qf, rf)
-    want_q, want_r = _project_every_time(lat, qf, rf)
-    assert got_q.tobytes() == want_q.tobytes()
-    assert got_r.tobytes() == want_r.tobytes()
-    want = lat.axial_index(*_hex_round(want_q, want_r))
+    want_q, want_r = _nearest_hull_point(lat, qf, rf)
+    k = int(np.abs(lat.axial).max())
+    inside = np.abs(qf) + np.abs(rf) + np.abs(qf + rf) <= 2 * k
+    assert got_q[inside].tobytes() == qf[inside].tobytes()
+    assert got_r[inside].tobytes() == rf[inside].tobytes()
+    tol = 1e-9 * k
+    assert np.allclose(got_q, want_q, rtol=0.0, atol=tol)
+    assert np.allclose(got_r, want_r, rtol=0.0, atol=tol)
+    want = lat.axial_index(*_hex_round(got_q, got_r))
     assert lat.nearest_index(pts).tobytes() == want.tobytes()
 
 
@@ -723,6 +734,36 @@ def test_grid_nearest_index_on_cell_edges(kind):
 # ======================================================================
 # beam lines
 # ======================================================================
+
+@st.composite
+def _planar_lattice(draw):
+    pitch = draw(st.floats(0.5, 50.0))
+    if draw(st.booleans()):
+        return make_lattice("square", pitch,
+                            (pitch * draw(st.integers(1, 12)),
+                             pitch * draw(st.integers(1, 12))))
+    return make_lattice("hexagonal", pitch, pitch * draw(st.integers(1, 8)))
+
+
+@settings(deadline=None, max_examples=100)
+@given(_planar_lattice())
+def test_beam_index_inverts_beam_lines(lat):
+    beams = lat.beam_lines()
+    for i, b in enumerate(beams):
+        assert lat.beam_index(b.family, b.key) == i
+    for family in range(3):
+        keys = np.array([b.key for b in beams if b.family == family])
+        if family == 2 and lat.kind == "square":
+            assert keys.size == 0
+            assert np.all(lat.beam_index(2, np.arange(-3, 20)) == -1)
+            continue
+        ids = lat.beam_index(family, keys)
+        assert ids.dtype == np.int64
+        assert [beams[i].key for i in ids] == list(keys)
+        outside = np.array([keys.min() - 2, keys.min() - 1,
+                            keys.max() + 1, keys.max() + 2])
+        assert np.array_equal(lat.beam_index(family, outside), [-1] * 4)
+
 
 def test_beam_lines_square():
     lat = make_lattice("square", 30.0, (90.0, 90.0))
