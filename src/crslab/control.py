@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -133,7 +134,9 @@ class FrameLog:
     pitch/4 of the commanded position; the peak's height is not checked.
     It stays None without peak tracking, for a skipped frame or a release
     (zero depth), and when no probe gets there before the next frame
-    activates.
+    activates.  A probe whose displayed state fails the arc-budget check
+    (``InfeasibleExcessError``) is skipped, so actuation_ms counts only
+    the probes that could build a surface.
     """
 
     sample: FingertipSample
@@ -326,8 +329,6 @@ def run_session(trace: Sequence[FingertipSample],
     next_log = 0.0
     d_quarter = 0.25 * lat.pitch
 
-    t = 0.0
-    step = 0
     n_steps = int(math.ceil(t_end / dt)) + 1
     for step in range(n_steps):
         t = step * dt
@@ -354,9 +355,8 @@ def run_session(trace: Sequence[FingertipSample],
         state = step_servos(state, commands, dt, config.servo)
 
         if t >= next_log:
-            for ch in range(n_ch):
-                log.command_rows.append((t, channel_names[ch],
-                                         float(commands[ch]), float(state[ch])))
+            log.command_rows.extend(zip(repeat(t), channel_names,
+                                        commands.tolist(), state.tolist()))
             next_log = t + config.log_every_ms
 
         if (config.track_peaks and active is not None

@@ -244,7 +244,6 @@ class Lattice:
 
     kind: str
     pitch: float
-    extents: tuple
     positions: Array                     # (n,) for line; (n, 2) otherwise
     axial: Optional[Array] = None        # (n, 2) integer axial coords (hexagonal)
     grid_shape: Optional[Tuple[int, int]] = None  # (nx, ny) for square
@@ -492,6 +491,107 @@ class Lattice:
         qf[out], rf[out] = c[0], c[1]
         return qf, rf
 
+    # ---------------- cells (planar lattices) ----------------
+
+    def triangles(self, points: Array) -> Tuple[Array, Array]:
+        """The triangle of the lattice's fixed triangulation that holds each
+        (n, 2) point: its vertex pixels and the point's barycentric weights,
+        both (3, n), row j for vertex j.  Square cells split along the
+        diagonal from the lower-left to the upper-right pixel; hexagonal
+        lattices split into upward and downward unit triangles.  A missing
+        vertex, which only a point outside the hull (or on its edge within
+        roundoff) can have, gets index -1 and weight 0."""
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.kind == "square":
+            ix, iy, u, v = self._locate_square(p)
+            idx = np.empty((3, p.shape[0]), dtype=np.int64)
+            w = np.empty((3, p.shape[0]))
+            nx = self.grid_shape[0]
+            # the lower triangle (00, 10, 11) where u >= v, else (flip) the
+            # upper (00, 11, 01)
+            flip = u < v
+            idx[0] = iy * nx + ix
+            idx[1] = np.where(flip, idx[0] + (nx + 1), idx[0] + 1)
+            idx[2] = np.where(flip, idx[0] + nx, idx[0] + (nx + 1))
+            w[0] = np.where(flip, 1.0 - v, 1.0 - u)
+            w[1] = np.where(flip, u, u - v)
+            w[2] = np.where(flip, v - u, v)
+            return idx, w
+        qf, rf, qi, ri, up = self._locate_hex(p)
+        u = qf - qi
+        v = rf - ri
+        idx = np.empty((3, p.shape[0]), dtype=np.int64)
+        w = np.empty((3, p.shape[0]))
+        # the upward triangle (q, r), (q+1, r), (q, r+1), else (flip) the
+        # downward (q+1, r+1), (q, r+1), (q+1, r)
+        flip = ~up
+        q1, r1 = self.axial_index(qi + 1, ri), self.axial_index(qi, ri + 1)
+        idx[0] = np.where(flip, self.axial_index(qi + 1, ri + 1),
+                          self.axial_index(qi, ri))
+        idx[1] = np.where(flip, r1, q1)
+        idx[2] = np.where(flip, q1, r1)
+        w[0] = np.where(flip, u + v - 1.0, 1.0 - u - v)
+        w[1] = np.where(flip, 1.0 - u, u)
+        w[2] = np.where(flip, 1.0 - v, v)
+        np.copyto(w, 0.0, where=idx < 0)
+        return idx, w
+
+    def cell_lines(self, points: Array) -> Tuple[Array, Array]:
+        """The lines bounding the cell that holds each (n, 2) point: their
+        ``beam_lines()`` ids, -1 where a line carries no beam, and the
+        point's perpendicular distance to each, both (n, 4) for square
+        cells (rows iy, iy + 1, then columns ix, ix + 1) and (n, 3) for
+        hexagonal unit triangles (one line of each family)."""
+        p = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.kind == "square":
+            ix, iy, _, _ = self._locate_square(p)
+            ids = np.column_stack([self.beam_index(0, iy), self.beam_index(0, iy + 1),
+                                   self.beam_index(1, ix), self.beam_index(1, ix + 1)])
+            # plain coordinate offsets from the cell's corners
+            lo = self.origin2d + np.column_stack([ix, iy]) * self.pitch
+            near, far = np.abs(p - lo), np.abs(p - (lo + self.pitch))
+            return ids, np.column_stack([near[:, 1], far[:, 1], near[:, 0], far[:, 0]])
+        # the upward triangle's lines: r = ri (family 0), q = qi (family 1),
+        # q + r = qi + ri + 1 (family 2); the downward triangle's first two
+        # are r = ri + 1 and q = qi + 1
+        qf, rf, qi, ri, up = self._locate_hex(p)
+        key0 = np.where(up, ri, ri + 1)
+        key1 = np.where(up, qi, qi + 1)
+        key2 = qi + ri + 1
+        ids = np.column_stack([self.beam_index(0, key0), self.beam_index(1, key1),
+                               self.beam_index(2, key2)])
+        # the axial fractions are affine in position, and one axial unit
+        # spans a row spacing of sqrt(3)/2 * d
+        row = _SQRT3 / 2.0 * self.pitch
+        return ids, np.column_stack([np.abs(rf - key0) * row,
+                                     np.abs(qf - key1) * row,
+                                     np.abs((qf + rf) - key2) * row])
+
+    def _locate_square(self, p: Array) -> Tuple[Array, Array, Array, Array]:
+        """Square cell of each (n, 2) point: the cell's lower-left grid index
+        (ix, iy) and the point's offset (u, v) from that pixel in pitches,
+        with points beyond the grid clamped onto its edge."""
+        nx, ny = self.grid_shape
+        ox, oy = self.origin2d
+        fx = np.clip((p[:, 0] - ox) / self.pitch, 0.0, nx - 1.0)
+        fy = np.clip((p[:, 1] - oy) / self.pitch, 0.0, ny - 1.0)
+        ix = np.minimum(np.floor(fx).astype(np.int64), nx - 2)
+        iy = np.minimum(np.floor(fy).astype(np.int64), ny - 2)
+        return ix, iy, fx - ix, fy - iy
+
+    def _locate_hex(self, p: Array) -> Tuple[Array, Array, Array, Array, Array]:
+        """Unit triangle of each (n, 2) point: fractional axial coordinates
+        (qf, rf), the axial cell (qi, ri) below them, and whether the point
+        is in the upward triangle, (qf - qi) + (rf - ri) <= 1, which holds
+        the edge that the two triangles share."""
+        if self.kind != "hexagonal":
+            raise ValueError("cells need a 2D lattice")
+        qf, rf = self.fractional_axial(p)
+        qi = np.floor(qf).astype(np.int64)
+        ri = np.floor(rf).astype(np.int64)
+        up = ((qf - qi) + (rf - ri)) <= 1.0
+        return qf, rf, qi, ri, up
+
     @cached_property
     def _rings(self) -> int:
         """Ring count k of a hexagonal lattice: its largest |q|, |r|, |q + r|."""
@@ -643,7 +743,8 @@ def make_lattice(kind: str, pitch: float, extents) -> Lattice:
     """
     if pitch <= 0.0 or not np.isfinite(pitch):
         raise ValueError("pitch must be positive and finite")
-    tol = 1e-9 * pitch
+    if not np.all(np.isfinite(np.asarray(extents, dtype=float))):
+        raise ValueError("extents must be finite")
 
     if kind == "line":
         if np.isscalar(extents):
@@ -654,7 +755,7 @@ def make_lattice(kind: str, pitch: float, extents) -> Lattice:
         if n < 2:
             raise ValueError("degenerate lattice")
         pos = x0 + pitch * np.arange(n)
-        lat = Lattice(kind, pitch, (x0, x1), pos)
+        lat = Lattice(kind, pitch, pos)
         lat.validate()
         return lat
 
@@ -673,8 +774,8 @@ def make_lattice(kind: str, pitch: float, extents) -> Lattice:
         ys = y0 + pitch * np.arange(ny)
         gx, gy = np.meshgrid(xs, ys)            # row-major: sorted by (y, x)
         pos = np.column_stack([gx.ravel(), gy.ravel()])
-        lat = Lattice(kind, pitch, ((x0, x1), (y0, y1)), pos,
-                      grid_shape=(nx, ny), origin2d=np.array([x0, y0]))
+        lat = Lattice(kind, pitch, pos, grid_shape=(nx, ny),
+                      origin2d=np.array([x0, y0]))
         lat.validate()
         return lat
 
@@ -691,7 +792,7 @@ def make_lattice(kind: str, pitch: float, extents) -> Lattice:
         q, r = axial.T
         pos = np.column_stack([pitch * (q + 0.5 * r), pitch * (_SQRT3 / 2.0) * r])
         order = np.lexsort((pos[:, 0], pos[:, 1]))  # enumerate by (y, x)
-        lat = Lattice(kind, pitch, radius, pos[order], axial=axial[order],
+        lat = Lattice(kind, pitch, pos[order], axial=axial[order],
                       origin2d=np.array([0.0, 0.0]))
         lat.validate()
         return lat

@@ -16,7 +16,9 @@ that the caller has already put in the display hull, as ``Lattice.contains``
 judges them, and tests nothing itself; what it returns elsewhere is
 unspecified.  ``extended`` takes any points and is zero outside the hull,
 which is the convention the distortion metrics integrate under; one shared
-function implements it for every model.
+function implements it for every model.  The 2D models take their cell
+geometry from the lattice: ``Lattice.triangles`` for the linear surface,
+``Lattice.cell_lines`` for the CRS surface.
 """
 from __future__ import annotations
 
@@ -31,8 +33,6 @@ from .elastica import (ElasticaConvergenceError, ElasticaSolution,
                        normalize_beam, solve_elastica_1d)
 from .fields import (BeamLine, BumpField1D, BumpField2D, Lattice, PixelHeights,
                      sample_pixels)
-
-_SQRT3 = math.sqrt(3.0)
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,7 @@ class LinearProfile1D:
 
 
 class LinearSurface2D:
-    """Barycentric interpolation over a fixed triangulation of the lattice.
-
-    Square lattices split every cell along the diagonal from the lower-left
-    to the upper-right pixel.  Hexagonal lattices use the natural axial
-    triangulation into upward and downward unit triangles.
-    """
+    """Barycentric interpolation over the triangles of ``Lattice.triangles``."""
 
     kind = "linear"
 
@@ -118,55 +113,12 @@ class LinearSurface2D:
     def __call__(self, *point):
         """Heights at points that the caller has put in the hull; no hull
         test (see the module docstring)."""
-        p = _pack_points(point, 2)
-        if self.lattice.kind == "square":
-            return self._interp_square(p)
-        return self._interp_hex(p)
+        idx, w = self.lattice.triangles(_pack_points(point, 2))
+        z = self.heights.take(idx)
+        z *= w
+        return z[0] + z[1] + z[2]
 
     extended = _extended
-
-    # ------------------------------------------------------------------
-
-    def _interp_square(self, p: np.ndarray) -> np.ndarray:
-        fx, fy, ix, iy = _locate_square(self.lattice, p)
-        nx = self.lattice.grid_shape[0]
-        u = fx - ix
-        v = fy - iy
-        h = self.heights
-        z00 = h[iy * nx + ix]
-        z10 = h[iy * nx + ix + 1]
-        z01 = h[(iy + 1) * nx + ix]
-        z11 = h[(iy + 1) * nx + ix + 1]
-        lower = u >= v       # triangle (00, 10, 11); upper is (00, 11, 01)
-        vals_lo = z00 * (1.0 - u) + z10 * (u - v) + z11 * v
-        vals_hi = z00 * (1.0 - v) + z11 * u + z01 * (v - u)
-        return np.where(lower, vals_lo, vals_hi)
-
-    def _interp_hex(self, p: np.ndarray) -> np.ndarray:
-        lat = self.lattice
-        qf, rf, qi, ri, up = _locate_hex(lat, p)
-        vals = np.zeros(p.shape[0])
-        u = qf - qi
-        v = rf - ri
-        # upward triangle vertices (q, r), (q+1, r), (q, r+1); downward
-        # triangle vertices (q+1, r+1), (q, r+1), (q+1, r)
-        w0 = np.where(up, 1.0 - u - v, u + v - 1.0)
-        w1 = np.where(up, u, 1.0 - u)
-        w2 = np.where(up, v, 1.0 - v)
-        a0 = np.where(up, qi, qi + 1)
-        b0 = np.where(up, ri, ri + 1)
-        a1 = np.where(up, qi + 1, qi)
-        b1 = np.where(up, ri, ri + 1)
-        a2 = np.where(up, qi, qi + 1)
-        b2 = np.where(up, ri + 1, ri)
-        for w, a, b in ((w0, a0, b0), (w1, a1, b1), (w2, a2, b2)):
-            idx = lat.axial_index(a, b)
-            # missing vertices only occur for points outside the hull (or on
-            # its boundary within roundoff); their weight is zeroed here and
-            # ``extended`` masks them out
-            safe = idx >= 0
-            vals += np.where(safe, w * self.heights[np.where(safe, idx, 0)], 0.0)
-        return vals
 
 
 # ======================================================================
@@ -366,37 +318,7 @@ class CrsSurface2D:
         """The surface at points that the caller has put in the hull; no hull
         test (see the module docstring)."""
         p = _pack_points(point, 2)
-        lat = self.lattice
-        if lat.kind == "square":
-            # bounding lines: rows iy, iy+1 (family 0) and columns ix, ix+1
-            # (family 1); distances are plain coordinate offsets
-            _, _, ix, iy = _locate_square(lat, p)
-            ids = np.column_stack([lat.beam_index(0, iy), lat.beam_index(0, iy + 1),
-                                   lat.beam_index(1, ix), lat.beam_index(1, ix + 1)])
-            ox, oy = lat.origin2d
-            yr0 = oy + iy * lat.pitch
-            xc0 = ox + ix * lat.pitch
-            dists = np.column_stack([np.abs(p[:, 1] - yr0),
-                                     np.abs(p[:, 1] - (yr0 + lat.pitch)),
-                                     np.abs(p[:, 0] - xc0),
-                                     np.abs(p[:, 0] - (xc0 + lat.pitch))])
-        else:
-            # bounding lines of the upward triangle: r = ri (family 0), q = qi
-            # (family 1), q + r = qi + ri + 1 (family 2); the downward
-            # triangle swaps the first two to r = ri + 1 and q = qi + 1
-            qf, rf, qi, ri, up = _locate_hex(lat, p)
-            key0 = np.where(up, ri, ri + 1)
-            key1 = np.where(up, qi, qi + 1)
-            key2 = qi + ri + 1
-            ids = np.column_stack([lat.beam_index(0, key0), lat.beam_index(1, key1),
-                                   lat.beam_index(2, key2)])
-            # perpendicular distances: the axial fractions are affine in
-            # position, and one axial unit spans a row spacing of
-            # sqrt(3)/2 * d
-            row = _SQRT3 / 2.0 * lat.pitch
-            dists = np.column_stack([np.abs(rf - key0) * row,
-                                     np.abs(qf - key1) * row,
-                                     np.abs((qf + rf) - key2) * row])
+        ids, dists = self.lattice.cell_lines(p)
         # each bounding beam's own profile at the point's station on its
         # line, one evaluation per beam over every point that it bounds
         vals = np.zeros(ids.shape)
@@ -406,7 +328,7 @@ class CrsSurface2D:
             beam = self.beams[b]
             vals.flat[sel] = self.solutions[b].profile(
                 (p[sel // ids.shape[1]] - beam.origin) @ beam.direction)
-        tol = 1e-9 * lat.pitch
+        tol = 1e-9 * self.lattice.pitch
         hit = dists <= tol
         any_hit = np.any(hit, axis=1)
         w = 1.0 / np.square(np.maximum(dists, tol))
@@ -469,27 +391,3 @@ def _pack_points(point, ndim: int) -> np.ndarray:
         return np.column_stack([np.ravel(x), np.ravel(y)])
     p = np.asarray(point[0], dtype=float)
     return np.atleast_2d(p)
-
-
-def _locate_square(lat: Lattice, p: np.ndarray):
-    """Square cell of each (n, 2) point: fractional grid coordinates (fx, fy),
-    clamped onto the grid, and the cell's lower-left grid index (ix, iy)."""
-    nx, ny = lat.grid_shape
-    ox, oy = lat.origin2d
-    fx = np.clip((p[:, 0] - ox) / lat.pitch, 0.0, nx - 1.0)
-    fy = np.clip((p[:, 1] - oy) / lat.pitch, 0.0, ny - 1.0)
-    ix = np.minimum(np.floor(fx).astype(np.int64), nx - 2)
-    iy = np.minimum(np.floor(fy).astype(np.int64), ny - 2)
-    return fx, fy, ix, iy
-
-
-def _locate_hex(lat: Lattice, p: np.ndarray):
-    """Unit triangle of each (n, 2) point: fractional axial coordinates
-    (qf, rf), the axial cell (qi, ri) below them, and whether the point is
-    in the cell's upward triangle, u + v <= 1 with (u, v) = (qf - qi,
-    rf - ri); the shared edge u + v = 1 belongs to the upward triangle."""
-    qf, rf = lat.fractional_axial(p)
-    qi = np.floor(qf).astype(np.int64)
-    ri = np.floor(rf).astype(np.int64)
-    up = ((qf - qi) + (rf - ri)) <= 1.0
-    return qf, rf, qi, ri, up

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -282,6 +282,17 @@ def test_degenerate_lattices_raise():
         make_lattice("line", -1.0, 100.0)
     with pytest.raises(ValueError):
         make_lattice("triangular", 30.0, 100.0)
+
+
+@pytest.mark.parametrize("kind, extents", [
+    ("line", math.inf), ("line", (0.0, math.nan)),
+    ("square", (math.inf, 2.0)), ("square", ((0.0, 2.0), (-math.inf, 1.0))),
+    ("square", (2.0, math.nan)),
+    ("hexagonal", math.inf), ("hexagonal", math.nan),
+])
+def test_non_finite_extents_raise(kind, extents):
+    with pytest.raises(ValueError, match="extents must be finite"):
+        make_lattice(kind, 1.0, extents)
 
 
 # ======================================================================
@@ -763,6 +774,67 @@ def test_beam_index_inverts_beam_lines(lat):
         outside = np.array([keys.min() - 2, keys.min() - 1,
                             keys.max() + 1, keys.max() + 2])
         assert np.array_equal(lat.beam_index(family, outside), [-1] * 4)
+
+
+def _planar_points(case):
+    """A planar case of ``_lattice_uniforms_margin`` as its lattice and
+    points, at least 1e-6 pitch clear of the hull's edge, where roundoff
+    cannot put a point in a cell outside."""
+    lat, u, margin = case
+    assume(lat.ndim == 2)
+    return lat, lat.points_from_uniform(u, margin=max(margin, 1e-6 * lat.pitch))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_lattice_uniforms_margin())
+def test_triangles_hold_their_points(case):
+    lat, pts = _planar_points(case)
+    idx, w = lat.triangles(pts)
+    assert idx.shape == w.shape == (3, pts.shape[0])
+    assert (idx >= 0).all()
+    # three distinct pixels, and weights of a point inside their triangle
+    assert (np.diff(np.sort(idx, axis=0), axis=0) > 0).all()
+    assert (w >= -1e-12).all()
+    assert np.abs(w.sum(axis=0) - 1.0).max() <= 1e-12
+    recon = np.einsum("jn,jnk->nk", w, lat.positions[idx])
+    assert np.abs(recon - pts).max() <= 1e-9 * lat.pitch
+
+
+@settings(deadline=None, max_examples=200)
+@given(_lattice_uniforms_margin())
+def test_cell_lines_bound_their_points(case):
+    lat, pts = _planar_points(case)
+    ids, dists = lat.cell_lines(pts)
+    n_lines = 4 if lat.kind == "square" else 3
+    assert ids.shape == dists.shape == (pts.shape[0], n_lines)
+    assert (ids >= 0).all()
+    beams = lat.beam_lines()
+    for j in range(n_lines):
+        origin = np.array([beams[i].origin for i in ids[:, j]])
+        direction = np.array([beams[i].direction for i in ids[:, j]])
+        rel = pts - origin
+        perp = np.abs(rel[:, 0] * direction[:, 1] - rel[:, 1] * direction[:, 0])
+        assert np.abs(dists[:, j] - perp).max() <= 1e-9 * lat.pitch
+    # the lines bound the cell: no point is further than one cell height
+    # from any of them
+    height = lat.pitch if lat.kind == "square" else math.sqrt(3.0) / 2.0 * lat.pitch
+    assert dists.max() <= height * (1.0 + 1e-9)
+
+
+def test_triangles_give_missing_vertices_no_weight():
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    pts = np.random.default_rng(5).uniform(-150.0, 150.0, (2000, 2))
+    idx, w = lat.triangles(pts)
+    missing = idx < 0
+    assert missing.any() and (idx >= -1).all()
+    assert (w[missing] == 0.0).all() and not np.signbit(w[missing]).any()
+
+
+def test_cells_need_a_planar_lattice():
+    lat = make_lattice("line", 30.0, 120.0)
+    for lookup in (lat.triangles, lat.cell_lines):
+        with pytest.raises(ValueError, match="need a 2D lattice"):
+            lookup(np.zeros((1, 2)))
 
 
 def test_beam_lines_square():

@@ -471,6 +471,188 @@ def test_extended_is_the_model_in_the_hull_and_zero_outside(cls, kind):
 
 
 # ======================================================================
+# 2D evaluators over the lattice's cells, against the per-kind code
+# ======================================================================
+# The evaluators below are the per-kind ones that ``Lattice.triangles`` and
+# ``Lattice.cell_lines`` replaced, kept operation for operation.
+
+def _ref_locate_square(lat, p):
+    nx, ny = lat.grid_shape
+    ox, oy = lat.origin2d
+    fx = np.clip((p[:, 0] - ox) / lat.pitch, 0.0, nx - 1.0)
+    fy = np.clip((p[:, 1] - oy) / lat.pitch, 0.0, ny - 1.0)
+    ix = np.minimum(np.floor(fx).astype(np.int64), nx - 2)
+    iy = np.minimum(np.floor(fy).astype(np.int64), ny - 2)
+    return fx, fy, ix, iy
+
+
+def _ref_locate_hex(lat, p):
+    qf, rf = lat.fractional_axial(p)
+    qi = np.floor(qf).astype(np.int64)
+    ri = np.floor(rf).astype(np.int64)
+    up = ((qf - qi) + (rf - ri)) <= 1.0
+    return qf, rf, qi, ri, up
+
+
+def _ref_interp_square(lat, h, p):
+    fx, fy, ix, iy = _ref_locate_square(lat, p)
+    nx = lat.grid_shape[0]
+    u = fx - ix
+    v = fy - iy
+    z00 = h[iy * nx + ix]
+    z10 = h[iy * nx + ix + 1]
+    z01 = h[(iy + 1) * nx + ix]
+    z11 = h[(iy + 1) * nx + ix + 1]
+    lower = u >= v
+    vals_lo = z00 * (1.0 - u) + z10 * (u - v) + z11 * v
+    vals_hi = z00 * (1.0 - v) + z11 * u + z01 * (v - u)
+    return np.where(lower, vals_lo, vals_hi)
+
+
+def _ref_interp_hex(lat, h, p):
+    qf, rf, qi, ri, up = _ref_locate_hex(lat, p)
+    vals = np.zeros(p.shape[0])
+    u = qf - qi
+    v = rf - ri
+    w0 = np.where(up, 1.0 - u - v, u + v - 1.0)
+    w1 = np.where(up, u, 1.0 - u)
+    w2 = np.where(up, v, 1.0 - v)
+    a0 = np.where(up, qi, qi + 1)
+    b0 = np.where(up, ri, ri + 1)
+    a1 = np.where(up, qi + 1, qi)
+    b1 = np.where(up, ri, ri + 1)
+    a2 = np.where(up, qi, qi + 1)
+    b2 = np.where(up, ri + 1, ri)
+    for w, a, b in ((w0, a0, b0), (w1, a1, b1), (w2, a2, b2)):
+        idx = lat.axial_index(a, b)
+        safe = idx >= 0
+        vals += np.where(safe, w * h[np.where(safe, idx, 0)], 0.0)
+    return vals
+
+
+def _ref_crs(surf, p):
+    lat = surf.lattice
+    if lat.kind == "square":
+        _, _, ix, iy = _ref_locate_square(lat, p)
+        ids = np.column_stack([lat.beam_index(0, iy), lat.beam_index(0, iy + 1),
+                               lat.beam_index(1, ix), lat.beam_index(1, ix + 1)])
+        ox, oy = lat.origin2d
+        yr0 = oy + iy * lat.pitch
+        xc0 = ox + ix * lat.pitch
+        dists = np.column_stack([np.abs(p[:, 1] - yr0),
+                                 np.abs(p[:, 1] - (yr0 + lat.pitch)),
+                                 np.abs(p[:, 0] - xc0),
+                                 np.abs(p[:, 0] - (xc0 + lat.pitch))])
+    else:
+        qf, rf, qi, ri, up = _ref_locate_hex(lat, p)
+        key0 = np.where(up, ri, ri + 1)
+        key1 = np.where(up, qi, qi + 1)
+        key2 = qi + ri + 1
+        ids = np.column_stack([lat.beam_index(0, key0), lat.beam_index(1, key1),
+                               lat.beam_index(2, key2)])
+        row = math.sqrt(3.0) / 2.0 * lat.pitch
+        dists = np.column_stack([np.abs(rf - key0) * row,
+                                 np.abs(qf - key1) * row,
+                                 np.abs((qf + rf) - key2) * row])
+    vals = np.zeros(ids.shape)
+    flat = ids.ravel()
+    for b in np.flatnonzero(np.bincount(flat[flat >= 0])):
+        sel = np.flatnonzero(flat == b)
+        beam = surf.beams[b]
+        vals.flat[sel] = surf.solutions[b].profile(
+            (p[sel // ids.shape[1]] - beam.origin) @ beam.direction)
+    tol = 1e-9 * lat.pitch
+    hit = dists <= tol
+    any_hit = np.any(hit, axis=1)
+    w = 1.0 / np.square(np.maximum(dists, tol))
+    w = np.where(ids >= 0, w, 0.0)
+    num = np.sum(w * vals, axis=1)
+    den = np.sum(w, axis=1)
+    idw = num / np.where(den > 0.0, den, 1.0)
+    n_hit = np.sum(hit & (ids >= 0), axis=1)
+    exact = np.sum(np.where(hit & (ids >= 0), vals, 0.0), axis=1) \
+        / np.maximum(n_hit, 1)
+    return np.where(any_hit, exact, idw)
+
+
+_CELL_PITCHES = (30.0, 7.3, 1.0)
+
+
+def _cell_lattice(kind, pitch):
+    """A 4 x 3 square lattice off the origin, or a 19-pixel hexagon."""
+    if kind == "square":
+        return make_lattice("square", pitch, ((-1.3 * pitch, 1.7 * pitch),
+                                              (0.4 * pitch, 2.4 * pitch)))
+    return make_lattice("hexagonal", pitch, 2.0 * pitch)
+
+
+_CELL_SURFACES = {}
+
+
+def _cell_surface(kind, pitch):
+    """A CRS surface on ``_cell_lattice``, built once per lattice."""
+    if (kind, pitch) not in _CELL_SURFACES:
+        lat = _cell_lattice(kind, pitch)
+        peak = lat.positions.mean(axis=0) + np.array([0.4, 0.3]) * pitch
+        fld = BumpField2D(peak=tuple(peak), amplitude=0.3 * pitch,
+                          wavelength=3.0 * pitch)
+        _CELL_SURFACES[kind, pitch] = CrsSurface2D(fld, lat)
+    return _CELL_SURFACES[kind, pitch]
+
+
+@st.composite
+def _cell_case(draw, heights):
+    """(kind, pitch, hull points, pixel heights): uniform points over the
+    hull, from the edges' unit uniforms too, then the pixels."""
+    kind = draw(st.sampled_from(["square", "hexagonal"]))
+    pitch = draw(st.sampled_from(_CELL_PITCHES))
+    lat = _cell_lattice(kind, pitch)
+    unit = st.floats(0.0, 1.0)
+    u = np.array(draw(st.lists(st.tuples(unit, unit, unit), min_size=1,
+                               max_size=60)))[:, :lat.uniforms_per_point()]
+    pts = np.concatenate([lat.points_from_uniform(u), lat.positions])
+    h = np.array(draw(st.lists(heights, min_size=lat.n_pixels,
+                               max_size=lat.n_pixels)))
+    return kind, pitch, pts, h
+
+
+def _ref_linear(lat, h, p):
+    if lat.kind == "square":
+        return _ref_interp_square(lat, h, p)
+    return _ref_interp_hex(lat, h, p)
+
+
+@settings(deadline=None, max_examples=300)
+@given(_cell_case(st.floats(0.0, 10.0)))
+def test_linear_surface_equals_the_per_kind_interpolation(case):
+    # heights >= +0.0, as sample_pixels gives them: bit for bit
+    kind, pitch, pts, h = case
+    lat = _cell_lattice(kind, pitch)
+    assert lat.contains(pts).all()
+    assert LinearSurface2D(h, lat)(pts).tobytes() \
+        == _ref_linear(lat, h, pts).tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(_cell_case(st.floats(-10.0, 10.0)))
+def test_linear_surface_equals_the_per_kind_interpolation_any_sign(case):
+    # with -0.0 or negative heights an exact zero may differ in its sign
+    # alone: the hexagonal sum no longer starts from +0.0
+    kind, pitch, pts, h = case
+    lat = _cell_lattice(kind, pitch)
+    assert np.array_equal(LinearSurface2D(h, lat)(pts), _ref_linear(lat, h, pts))
+
+
+@settings(deadline=None, max_examples=200)
+@given(_cell_case(st.just(0.0)))
+def test_crs_surface_equals_the_per_kind_evaluation(case):
+    kind, pitch, pts, _ = case
+    surf = _cell_surface(kind, pitch)
+    pts = np.concatenate([pts, surf.peak_candidates()])
+    assert surf(pts).tobytes() == _ref_crs(surf, pts).tobytes()
+
+
+# ======================================================================
 # model dispatch
 # ======================================================================
 
