@@ -22,9 +22,10 @@ thread or a nested call already has in progress.  A forked child never
 writes to its parent's pipes: it closes its copies of them at the fork.
 ``multiprocessing`` is imported on the first call that could use a helper.
 
-``fn`` must be a module-level function, the items must pickle, and ``fn``
-must not return an exception.  An outcome that does not survive pickling
-is computed again by the caller.
+``fn`` must be a module-level function or a ``functools.partial`` of one,
+which a call pickles once with the items for all its helpers.  The items
+must pickle, and ``fn`` must not return an exception.  An outcome that does
+not survive pickling is computed again by the caller.
 """
 from __future__ import annotations
 

@@ -236,7 +236,7 @@ def step_servos(state: np.ndarray, commands: np.ndarray, dt_ms: float,
     [0, travel].  With the default 125 mm/s rate and 1 ms steps each move
     is at most 0.125 mm, so a full 0 to 9 mm stroke takes exactly 72 steps.
     """
-    if dt_ms <= 0.0:
+    if not dt_ms > 0.0:
         raise ValueError("dt must be positive")
     state = np.asarray(state, dtype=float)
     commands = np.asarray(commands, dtype=float)

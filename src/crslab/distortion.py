@@ -143,27 +143,24 @@ def _field_for(lattice: Lattice, peak, amplitude: float, wavelength: float):
     return BumpField2D((float(peak[0]), float(peak[1])), amplitude, wavelength)
 
 
-def _map_draws(kernel, model, lattice: Lattice, peaks: np.ndarray,
-               *args) -> np.ndarray:
-    """kernel(model, lattice, chunk, *args) on contiguous chunks of the
-    draws, one chunk per usable CPU, shared with the helper processes
-    (``_pool.map_outcomes``); the per-draw results are joined in row order.
-    Every draw's result depends on that draw alone, so the output equals
-    kernel(model, lattice, peaks, *args), and the first failing chunk's
-    error, which is the first failing draw's, is raised as a serial run
-    raises it."""
-    chunks = np.array_split(peaks, min(len(peaks), _pool._usable_cpus()))
-    outs = _pool.map_outcomes(_run_chunk, [(kernel, model, lattice, c, args)
-                                           for c in chunks])
+def _map_draws(kernel, model, lattice: Lattice, draws: tuple,
+               *args) -> list:
+    """[kernel(model, lattice, *draw, *args) for draw in zip(*draws)]: each
+    draw is one item of ``_pool.map_outcomes``, which sends ``draws`` once
+    per call, and its outcomes come back in draw order.  Every draw's result
+    depends on that draw alone, so the list equals a serial run's, and the
+    first failing draw's error is raised as a serial run raises it."""
+    outs = _pool.map_outcomes(
+        functools.partial(_run_draw, kernel, model, lattice, draws, args),
+        range(len(draws[0])))
     for out in outs:
         if isinstance(out, Exception):
             raise out
-    return np.concatenate(outs)
+    return outs
 
 
-def _run_chunk(job) -> np.ndarray:
-    kernel, model, lattice, peaks, args = job
-    return kernel(model, lattice, peaks, *args)
+def _run_draw(kernel, model, lattice, draws, args, i: int):
+    return kernel(model, lattice, *(d[i] for d in draws), *args)
 
 
 # ======================================================================
@@ -182,9 +179,9 @@ def position_distortion(model: ReconstructionModel, lattice: Lattice,
     target, and averages |x_r - X_i| / l.  Deterministic given the seed;
     estimates for different models with equal (lattice, wavelength, seed,
     region) use identical draws.  Reported runs should use n_samples >=
-    1000.  CRS draws run on every usable CPU, shared with crslab's helper
-    processes (see README, Processes); the estimate equals that of a
-    serial run bit for bit.  Raises ValueError for a wavelength or
+    1000.  CRS draws are shared one by one with crslab's helper processes,
+    as a build's beams are (see README, Processes); the estimate equals
+    that of a serial run bit for bit.  Raises ValueError for a wavelength or
     amplitude that is not finite and positive or an n_samples below 1.
     """
     _check_arguments(wavelength, amplitude, n_samples, region, no_peak_policy)
@@ -193,8 +190,9 @@ def position_distortion(model: ReconstructionModel, lattice: Lattice,
         errs = _vertex_position_errors(lattice, peaks, wavelength,
                                        no_peak_policy)
     else:
-        errs = _map_draws(_crs_position_errors, model, lattice, peaks,
-                          wavelength, amplitude, no_peak_policy)
+        errs = np.array([e for e in _map_draws(
+            _crs_position_error, model, lattice, (peaks,), wavelength,
+            amplitude, no_peak_policy) if e is not None])
     return _estimate_from_errors(errs / wavelength, "Dp", lattice, wavelength,
                                  model.variant, seed, region)
 
@@ -212,28 +210,25 @@ def _vertex_position_errors(lattice: Lattice, peaks: np.ndarray,
     return np.where(in_support, dist, np.minimum(dist, 0.5 * lattice.pitch))
 
 
-def _crs_position_errors(model: ReconstructionModel, lattice: Lattice,
-                         peaks: np.ndarray, wavelength: float,
-                         amplitude: float, policy: str) -> np.ndarray:
-    errs = []
-    for peak in np.atleast_1d(peaks):
-        fld = _field_for(lattice, peak, amplitude, wavelength)
-        profile = build_profile(model, fld, lattice)
-        try:
-            res = find_peak(profile)
-        except NoPeakError:
-            if policy == "discard":
-                continue
-            d = float(lattice.nearest_distance(
-                np.atleast_1d(peak) if lattice.ndim == 1
-                else np.atleast_2d(peak))[0])
-            errs.append(min(d, 0.5 * lattice.pitch))
-            continue
-        if lattice.ndim == 1:
-            errs.append(abs(res.location - float(peak)))
-        else:
-            errs.append(float(np.linalg.norm(res.location - peak)))
-    return np.asarray(errs, dtype=float)
+def _crs_position_error(model: ReconstructionModel, lattice: Lattice,
+                        peak, wavelength: float, amplitude: float,
+                        policy: str) -> Optional[float]:
+    """One draw's peak error, or None for a no-peak draw that the
+    "discard" policy drops."""
+    profile = build_profile(model, _field_for(lattice, peak, amplitude,
+                                              wavelength), lattice)
+    try:
+        res = find_peak(profile)
+    except NoPeakError:
+        if policy == "discard":
+            return None
+        d = float(lattice.nearest_distance(
+            np.atleast_1d(peak) if lattice.ndim == 1
+            else np.atleast_2d(peak))[0])
+        return min(d, 0.5 * lattice.pitch)
+    if lattice.ndim == 1:
+        return abs(res.location - float(peak))
+    return float(np.linalg.norm(res.location - peak))
 
 
 # ======================================================================
@@ -258,9 +253,9 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     nodes of the square grid of that spacing that lie in the disc.  The
     pixel-only model's heights at the nodes come from their nearest
     pixels, found row by row over the window's grid
-    (``Lattice.grid_nearest_index``).  The draws run on every usable CPU,
-    shared with crslab's helper processes (see README, Processes); the
-    estimate equals that of a serial run bit for bit.  Raises ValueError
+    (``Lattice.grid_nearest_index``).  The draws are shared one by one
+    with crslab's helper processes, as a build's beams are (see README,
+    Processes); the estimate equals that of a serial run bit for bit.  Raises ValueError
     for a wavelength or amplitude that is not finite and positive or an
     n_samples below 1.
     """
@@ -269,8 +264,9 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     if points_per_wavelength < 256 or points_per_wavelength % 2:
         raise ValueError("need an even points_per_wavelength >= 256")
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Ds", region)
-    vals = _map_draws(_shape_errors, model, lattice, peaks, wavelength,
-                      amplitude, points_per_wavelength)
+    vals = _map_draws(_shape_error, model, lattice,
+                      (peaks, _whole_windows(lattice, peaks, wavelength)),
+                      wavelength, amplitude, points_per_wavelength)
     return _estimate_from_errors(vals, "Ds", lattice, wavelength,
                                  model.variant, seed, region)
 
@@ -324,56 +320,50 @@ def _window(ndim: int, wl: float, amplitude: float, ppw: int) -> _Window:
     return window
 
 
-def _shape_errors(model, lattice, peaks, wl, amplitude, ppw) -> np.ndarray:
-    """Per-draw relative L2 shape errors over the window (``_window``).
+def _shape_error(model, lattice, peak, whole: bool, wl, amplitude,
+                 ppw) -> float:
+    """One draw's relative L2 shape error over the window (``_window``);
+    ``whole`` is its ``_whole_windows`` flag.
 
-    Only window nodes in the hull contribute, and every error and ideal
-    shape is summed over the full segment or grid, zero elsewhere, which
-    keeps the Simpson sums order-stable.  The pixel-only model reads its
-    heights at the nearest pixels of the window's tensor grid
+    Only window nodes in the hull contribute, and the error and ideal shape
+    are summed over the full segment or grid, zero elsewhere, which keeps
+    the Simpson sums order-stable.  The pixel-only model reads its heights
+    at the nearest pixels of the window's tensor grid
     (``Lattice.grid_nearest_index``); the other models evaluate their
     surfaces at the window nodes in the hull."""
-    w, win, disc, rel, offsets, phi, den_win = _window(lattice.ndim, wl,
-                                                      amplitude, ppw)
-    err, phi2 = np.zeros(w.size), np.zeros(w.size)
-    whole = _whole_windows(lattice, peaks, wl)
+    w, win, disc, rel, offsets, phi, den = _window(lattice.ndim, wl,
+                                                  amplitude, ppw)
+    node, keep = win, disc
     pixel_only = model.variant == "pixel-only"
+    if not (pixel_only and whole):
+        pts = peak + offsets
+    if not whole:
+        inside = lattice.contains(pts)
+        node = win[inside]
+        phi2 = np.zeros(w.size)
+        phi2[node] = phi[node] ** 2
+        den = float(phi2 @ w)
+    profile = build_profile(model, _field_for(lattice, peak, amplitude, wl),
+                            lattice)
     if pixel_only:
-        # each draw's window grid axes around its peak, (n, ndim, m)
-        axes = peaks.reshape(peaks.shape[0], -1, 1) + rel
-
-    out = np.empty(peaks.shape[0])
-    for i, peak in enumerate(peaks):
-        node, keep, den = win, disc, den_win
-        if not (pixel_only and whole[i]):
-            pts = peak + offsets
-        if not whole[i]:
-            inside = lattice.contains(pts)
-            node = win[inside]
-            phi2[win] = 0.0
-            phi2[node] = phi[node] ** 2
-            den = float(phi2 @ w)
-        profile = build_profile(model, _field_for(lattice, peak, amplitude, wl),
-                                lattice)
-        if pixel_only:
-            if not whole[i]:
-                keep = np.zeros(w.size, dtype=bool)
-                keep[node] = True
-            # a node outside the hull may get index -1, which "clip" reads
-            # as pixel 0 and keep then drops
-            nearest = lattice.grid_nearest_index(*axes[i])
-            profile.heights.take(nearest.ravel(), out=err, mode="clip")
-            np.subtract(phi, err, out=err)
-            err *= keep
-            err *= err
-        else:
-            if not whole[i]:
-                # per column, which keeps pts column-major
-                pts = np.compress(inside, pts.T, axis=-1).T
-                err[win] = 0.0
-            err[node] = (phi[node] - profile(pts)) ** 2
-        out[i] = math.sqrt(float(err @ w) / den)
-    return out
+        if not whole:
+            keep = np.zeros(w.size, dtype=bool)
+            keep[node] = True
+        # a node outside the hull may get index -1, which "clip" reads as
+        # pixel 0 and keep then drops
+        nearest = lattice.grid_nearest_index(*(np.reshape(peak, (-1, 1))
+                                               + rel))
+        err = profile.heights.take(nearest.ravel(), mode="clip")
+        np.subtract(phi, err, out=err)
+        err *= keep
+        err *= err
+    else:
+        if not whole:
+            # per column, which keeps pts column-major
+            pts = np.compress(inside, pts.T, axis=-1).T
+        err = np.zeros(w.size)
+        err[node] = (phi[node] - profile(pts)) ** 2
+    return math.sqrt(float(err @ w) / den)
 
 
 # ======================================================================

@@ -250,6 +250,9 @@ class CrsSurface2D:
         excess = np.asarray(beam_excess, dtype=float)
         if excess.shape != (len(self.beams),):
             raise ValueError("one excess per beam line required")
+        if previous is not None and len(previous.solutions) != len(self.beams):
+            raise ValueError(f"previous surface has {len(previous.solutions)} "
+                             f"beams, this lattice {len(self.beams)}")
         excess = excess.tolist()
         pins = [np.column_stack([beam.stations, heights[beam.pixel_idx]])
                 for beam in self.beams]

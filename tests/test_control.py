@@ -114,8 +114,9 @@ def test_step_servos_matches_np_clip_bit_for_bit():
 
 
 def test_step_servos_rejects_bad_dt():
-    with pytest.raises(ValueError):
-        step_servos(np.zeros(2), np.zeros(2), 0.0, ServoSpec())
+    for dt_ms in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="^dt must be positive$"):
+            step_servos(np.zeros(2), np.zeros(2), dt_ms, ServoSpec())
 
 
 # ======================================================================

@@ -283,20 +283,45 @@ def test_draws_on_helpers_equal_a_serial_run(monkeypatch, estimator, kind,
         assert 1 < serial.n_samples < n
 
 
-@pytest.mark.parametrize("kernel, kind, model, policy", [
-    (distortion._shape_errors, "hexagonal", PIX, None),
-    (distortion._crs_position_errors, "line", CRS, "nearest_capped"),
-    (distortion._crs_position_errors, "sparse", CRS, "discard"),
+@pytest.mark.parametrize("kernel, kind, model, last", [
+    (distortion._shape_error, "hexagonal", PIX, 256),
+    (distortion._crs_position_error, "line", CRS, "nearest_capped"),
+    (distortion._crs_position_error, "sparse", CRS, "discard"),
 ], ids=["Ds-hexagonal-pixel-only", "Dp-line-crs", "Dp-sparse-crs-discard"])
-def test_draw_errors_come_back_in_row_order(kernel, kind, model, policy):
+def test_draw_errors_come_back_in_row_order(kernel, kind, model, last):
     if not _has_helper():
         pytest.skip("no helper can run here")
     lat = _SPLIT_LATTICES[kind]
     peaks = distortion._draw_peaks(lat, 90.0, 9, 8, "Dp", "full")
-    last = 256 if policy is None else policy
-    args = (model, lat, peaks, 90.0, 1.0, last)
-    shared = distortion._map_draws(kernel, *args)
-    assert shared.tobytes() == kernel(*args).tobytes()
+    draws = (peaks,)
+    if kernel is distortion._shape_error:
+        draws += (distortion._whole_windows(lat, peaks, 90.0),)
+    args = (90.0, 1.0, last)
+    shared = distortion._map_draws(kernel, model, lat, draws, *args)
+    serial = [kernel(model, lat, *draw, *args) for draw in zip(*draws)]
+    assert [repr(e) for e in shared] == [repr(e) for e in serial]
+    # discarded no-peak draws come back as None, in their place
+    assert (None in serial) == (last == "discard")
+
+
+def test_an_estimate_maps_one_item_per_draw(monkeypatch):
+    # every draw is its own pool item, whatever the number of CPUs
+    calls = []
+    map_outcomes = _pool.map_outcomes
+
+    def spy(fn, items):
+        items = list(items)
+        calls.append(len(items))
+        return map_outcomes(fn, items)
+
+    monkeypatch.setattr(_pool, "map_outcomes", spy)
+    lat = _SPLIT_LATTICES["line"]
+    for estimator, model, n in [(shape_distortion, PIX, 7),
+                                (shape_distortion, CRS, 3),
+                                (position_distortion, CRS, 5)]:
+        calls.clear()
+        assert estimator(model, lat, 90.0, n, 21).n_samples == n
+        assert calls == [n]
 
 
 class _FailingLattice(Lattice):
@@ -314,8 +339,9 @@ class _FailingLattice(Lattice):
 
 @pytest.mark.parametrize("failing", [(1, 6), (6,)])
 def test_a_failing_draw_raises_as_a_serial_run_does(monkeypatch, failing):
-    # draw 1 falls in the first chunk and draw 6 in a later one; the first
-    # failing draw's error is raised wherever each chunk ran
+    # draws 1 and 6 are separate pool items, which the calling process and
+    # the helpers take in turn; the first failing draw's error is raised
+    # wherever each draw ran
     lat = _SPLIT_LATTICES["square"]
     peaks = distortion._draw_peaks(lat, 90.0, 8, 4, "Ds", "interior")
     assert distortion._whole_windows(lat, peaks, 90.0).all()
@@ -400,25 +426,30 @@ def test_every_model_sees_the_same_draws(kind, region, n, seed):
     lat = _PAIRED_LATTICES[kind]
     seen = {}
 
-    def spy(name):
-        def kernel(*args):
-            peaks = next(a for a in args if isinstance(a, np.ndarray))
-            seen.setdefault(name, []).append(peaks.copy())
-            return np.zeros(len(peaks))
+    def vertex_spy(lattice, peaks, *args):
+        seen.setdefault("_vertex_position_errors", []).append(
+            peaks.reshape(-1, lat.ndim).copy())
+        return np.zeros(len(peaks))
+
+    def draw_spy(name):
+        def kernel(model, lattice, peak, *args):
+            seen.setdefault(name, []).append(
+                np.reshape(peak, (1, lat.ndim)).copy())
+            return 0.0
         return kernel
 
     with pytest.MonkeyPatch.context() as mp:
         _serial(mp)
-        for name in ("_vertex_position_errors", "_crs_position_errors",
-                     "_shape_errors"):
-            mp.setattr(distortion, name, spy(name))
+        mp.setattr(distortion, "_vertex_position_errors", vertex_spy)
+        for name in ("_crs_position_error", "_shape_error"):
+            mp.setattr(distortion, name, draw_spy(name))
         for estimator in (position_distortion, shape_distortion):
             got = []
             for model in (PIX, LIN, CRS):
                 seen.clear()
                 estimator(model, lat, 90.0, n, seed, region=region)
-                [(name, chunks)] = seen.items()
-                got.append(np.concatenate(chunks))
+                [(name, rows)] = seen.items()
+                got.append(np.concatenate(rows))
             assert got[0].shape[0] == n
             assert got[0].tobytes() == got[1].tobytes() == got[2].tobytes()
 
@@ -648,6 +679,16 @@ def test_shape_2d_matches_per_draw_kernel(kind, region, model):
         assert est.standard_error == float(np.std(errs, ddof=1) / math.sqrt(6))
 
 
+def _kernel_shape_errors(model, lattice, peaks):
+    """The per-draw shape kernel on every draw in turn, with each draw's
+    whole-window flag, at l = 90, unit amplitude and 256 points per
+    wavelength."""
+    whole = distortion._whole_windows(lattice, peaks, 90.0)
+    return np.array([distortion._shape_error(model, lattice, peak, flag,
+                                             90.0, 1.0, 256)
+                     for peak, flag in zip(peaks, whole)])
+
+
 def _pixel_shape_errors_per_node(lattice, peaks, wl, amplitude, ppw):
     """The pixel-only shape kernel as it was before it read the nearest
     pixels of the window grid: every window node in the hull looks up its
@@ -700,7 +741,7 @@ def test_pixel_shape_errors_equal_the_per_node_kernel(kind, d_over_l,
     peaks = distortion._draw_peaks(lat, 90.0, 12, 31, "Ds", region)
     whole = distortion._whole_windows(lat, peaks, 90.0)
     assert whole.any() and (region == "interior" or not whole.all())
-    got = distortion._shape_errors(PIX, lat, peaks, 90.0, 1.0, 256)
+    got = _kernel_shape_errors(PIX, lat, peaks)
     ref = _pixel_shape_errors_per_node(lat, peaks, 90.0, 1.0, 256)
     assert [e.hex() for e in got] == [e.hex() for e in ref]
 
@@ -749,7 +790,7 @@ def test_shape_1d_matches_reference_kernel(region, model, n):
     peaks = distortion._draw_peaks(lat, 90.0, n, 5, "Ds", region)
     whole = distortion._whole_windows(lat, peaks, 90.0)
     assert whole.any() and (region == "interior" or not whole.all())
-    got = distortion._shape_errors(model, lat, peaks, 90.0, 1.0, 256)
+    got = _kernel_shape_errors(model, lat, peaks)
     ref = _shape_errors_1d_reference(model, lat, peaks, 90.0, 1.0, 256)
     np.testing.assert_allclose(got, ref, rtol=1e-14, atol=0.0)
 

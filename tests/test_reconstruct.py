@@ -389,6 +389,27 @@ def test_crs_surface_from_state_validates_excess_count():
         CrsSurface2D.from_state(lat, np.zeros(lat.n_pixels), [0.0, 0.0])
 
 
+@pytest.mark.parametrize("previous_first", [True, False],
+                         ids=["hex-to-square", "square-to-hex"])
+def test_crs_surface_from_state_rejects_previous_of_other_beam_count(
+        previous_first):
+    # a surface from another lattice seeds no beam of this one, in either
+    # direction; both beam counts are named
+    hexagonal = make_lattice("hexagonal", 30.0, 60.0)
+    square = make_lattice("square", 30.0, (60.0, 60.0))
+    old_lat, lat = (hexagonal, square) if previous_first else (square,
+                                                               hexagonal)
+    fld = BumpField2D(peak=(20.0, 25.0), amplitude=2.0, wavelength=90.0)
+    previous = CrsSurface2D(fld, old_lat)
+    excess = [sol.excess for sol in CrsSurface2D(fld, lat).solutions]
+    n_old, n_new = len(previous.beams), len(lat.beam_lines())
+    assert n_old != n_new
+    with pytest.raises(ValueError, match=f"^previous surface has {n_old} "
+                       f"beams, this lattice {n_new}$"):
+        CrsSurface2D.from_state(lat, sample_pixels(fld, lat), excess,
+                                previous=previous)
+
+
 @pytest.mark.parametrize("n_heights", [5, 40])
 def test_crs_surface_from_state_validates_height_count(n_heights):
     lat = make_lattice("hexagonal", 30.0, 60.0)
