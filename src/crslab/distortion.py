@@ -182,7 +182,8 @@ def position_distortion(model: ReconstructionModel, lattice: Lattice,
     1000.  CRS draws are shared one by one with crslab's helper processes,
     as a build's beams are (see README, Processes); the estimate equals
     that of a serial run bit for bit.  Raises ValueError for a wavelength or
-    amplitude that is not finite and positive or an n_samples below 1.
+    amplitude that is not finite and positive, or an n_samples that is not
+    an integer (bools excluded) of at least 1.
     """
     _check_arguments(wavelength, amplitude, n_samples, region, no_peak_policy)
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Dp", region)
@@ -250,18 +251,21 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     a segment of length l in 1D, integrated by composite Simpson at
     points_per_wavelength subintervals per wavelength; in 2D it is the
     disc of diameter l, integrated by the product Simpson rule over the
-    nodes of the square grid of that spacing that lie in the disc.  The
-    pixel-only model's heights at the nodes come from their nearest
-    pixels, found row by row over the window's grid
-    (``Lattice.grid_nearest_index``).  The draws are shared one by one
-    with crslab's helper processes, as a build's beams are (see README,
-    Processes); the estimate equals that of a serial run bit for bit.  Raises ValueError
-    for a wavelength or amplitude that is not finite and positive or an
-    n_samples below 1.
+    nodes of the square grid of that spacing that lie in the disc (its
+    Simpson weights are built once per process, 0 beyond the disc).  The
+    pixel-only model reads the nodes' heights at their nearest pixels over
+    the whole grid at once (``Lattice.grid_nearest``).  The draws are
+    shared one by one with crslab's helper processes, as a build's beams
+    are (see README, Processes); the estimate equals that of a serial run
+    bit for bit.  Raises ValueError for a wavelength or amplitude that is
+    not finite and positive, an n_samples that is not an integer (bools
+    excluded) of at least 1, or a points_per_wavelength that is not an even
+    integer of at least 256.
     """
     _check_arguments(wavelength, amplitude, n_samples, region,
                      "nearest_capped")
-    if points_per_wavelength < 256 or points_per_wavelength % 2:
+    if (not _is_count(points_per_wavelength) or points_per_wavelength < 256
+            or points_per_wavelength % 2):
         raise ValueError("need an even points_per_wavelength >= 256")
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Ds", region)
     vals = _map_draws(_shape_error, model, lattice,
@@ -282,9 +286,8 @@ def _whole_windows(lattice: Lattice, peaks: np.ndarray, wl: float) -> np.ndarray
 class _Window(NamedTuple):
     """The integration window of the shape error, centred on the origin."""
 
-    w: np.ndarray         # Simpson weights on the m-node segment or m x m grid
+    w: np.ndarray         # Simpson weights on the segment or grid, 0 beyond l/2
     win: np.ndarray       # flat indices of the nodes within l/2 of the centre
-    disc: np.ndarray      # those nodes as a mask over the segment or grid
     rel: np.ndarray       # the m grid coordinates along each axis
     offsets: np.ndarray   # the win nodes' offsets from the centre, (n,) or (n, 2)
     phi: np.ndarray       # the ideal shape over the segment or grid
@@ -308,13 +311,14 @@ def _window(ndim: int, wl: float, amplitude: float, ppw: int) -> _Window:
         rr = np.hypot(rel[None, :], rel[:, None]).ravel()
         w = np.outer(w1, w1).ravel() * (dx / 3.0) ** 2
     disc = rr <= 0.5 * wl
+    w *= disc
     win = np.flatnonzero(disc)
     # column-major (n, 2), so that adding a peak runs along each column
     offsets = rel[win] if ndim == 1 else np.array([rel[win % m],
                                                    rel[win // m]]).T
     phi = np.zeros(rr.size)
     phi[win] = _raised_cosine(rr[win], amplitude, wl)
-    window = _Window(w, win, disc, rel, offsets, phi, float(phi ** 2 @ w))
+    window = _Window(w, win, rel, offsets, phi, float(phi ** 2 @ w))
     for a in window[:-1]:
         a.flags.writeable = False
     return window
@@ -325,37 +329,30 @@ def _shape_error(model, lattice, peak, whole: bool, wl, amplitude,
     """One draw's relative L2 shape error over the window (``_window``);
     ``whole`` is its ``_whole_windows`` flag.
 
-    Only window nodes in the hull contribute, and the error and ideal shape
-    are summed over the full segment or grid, zero elsewhere, which keeps
-    the Simpson sums order-stable.  The pixel-only model reads its heights
-    at the nearest pixels of the window's tensor grid
-    (``Lattice.grid_nearest_index``); the other models evaluate their
-    surfaces at the window nodes in the hull."""
-    w, win, disc, rel, offsets, phi, den = _window(lattice.ndim, wl,
-                                                  amplitude, ppw)
-    node, keep = win, disc
+    Only window nodes in the hull contribute: a window that crosses the
+    hull's edge keeps those nodes' Simpson weights alone, and the sums run
+    over the full segment or grid, which keeps them order-stable.  The
+    pixel-only model reads its heights at the nearest pixels of the whole
+    grid (``Lattice.grid_nearest``), outside the hull too; the other
+    models evaluate their surfaces at the window nodes in the hull."""
+    w, win, rel, offsets, phi, den = _window(lattice.ndim, wl, amplitude, ppw)
+    node = win
     pixel_only = model.variant == "pixel-only"
     if not (pixel_only and whole):
         pts = peak + offsets
     if not whole:
         inside = lattice.contains(pts)
         node = win[inside]
-        phi2 = np.zeros(w.size)
-        phi2[node] = phi[node] ** 2
-        den = float(phi2 @ w)
+        kept = np.zeros(w.size)
+        kept[node] = w[node]
+        w = kept
+        den = float(phi ** 2 @ w)
     profile = build_profile(model, _field_for(lattice, peak, amplitude, wl),
                             lattice)
     if pixel_only:
-        if not whole:
-            keep = np.zeros(w.size, dtype=bool)
-            keep[node] = True
-        # a node outside the hull may get index -1, which "clip" reads as
-        # pixel 0 and keep then drops
-        nearest = lattice.grid_nearest_index(*(np.reshape(peak, (-1, 1))
-                                               + rel))
-        err = profile.heights.take(nearest.ravel(), mode="clip")
+        err = lattice.grid_nearest(profile.heights,
+                                   *(np.reshape(peak, (-1, 1)) + rel)).ravel()
         np.subtract(phi, err, out=err)
-        err *= keep
         err *= err
     else:
         if not whole:
@@ -496,12 +493,17 @@ def _check_arguments(wavelength: float, amplitude: float, n_samples: int,
         raise ValueError("wavelength must be finite and positive")
     if not (math.isfinite(amplitude) and amplitude > 0.0):
         raise ValueError("amplitude must be finite and positive")
-    if n_samples < 1:
+    if not _is_count(n_samples) or n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     if region not in ("full", "interior"):
         raise ValueError("region must be 'full' or 'interior'")
     if policy not in ("nearest_capped", "discard"):
         raise ValueError("no-peak policy must be 'nearest_capped' or 'discard'")
+
+
+def _is_count(n) -> bool:
+    """A Python or NumPy integer, not a bool, as the CLI schema types it."""
+    return isinstance(n, (int, np.integer)) and not isinstance(n, bool)
 
 
 def _estimate_from_errors(errs: np.ndarray, metric: str, lattice: Lattice,

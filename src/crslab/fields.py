@@ -360,8 +360,8 @@ class Lattice:
         halves down per axis, hexagonal ones break ties as an infinitesimal
         step towards -y, then -x, would.  Ties are judged in the fractional
         lattice coordinates, so a point within roundoff of a cell boundary
-        may land on either side of it.  ``grid_nearest_index`` gives the
-        same indices over a tensor grid of points, row by row.
+        may land on either side of it.  ``grid_nearest`` reads values at
+        the same pixels over a tensor grid of points, row by row.
         """
         if self.kind == "line":
             p = np.atleast_1d(np.asarray(points, dtype=float))
@@ -378,33 +378,39 @@ class Lattice:
         k = self._rings
         return self._axial_table.take((q + k) * (2 * k + 1) + r + k)
 
-    def grid_nearest_index(self, xs: Array, ys: Optional[Array] = None) -> Array:
-        """``nearest_index`` over the tensor grid of the increasing
-        coordinates xs (and ys on planar lattices): entry [j, i] is the
-        nearest pixel of node (xs[i], ys[j]), and a line lattice gives the
-        (len(xs),) array of ``nearest_index(xs)``.  Every node in the hull
-        gets exactly the index that ``nearest_index`` gives it; a node
-        outside the hull gets some pixel's index, or -1.
+    def grid_nearest(self, values: Array, xs: Array,
+                     ys: Optional[Array] = None) -> Array:
+        """``values[nearest_index(...)]`` over the tensor grid of the
+        increasing coordinates xs and, on planar lattices, ys: entry [j, i]
+        is the value at the nearest pixel of node (xs[i], ys[j]), and a line
+        lattice gives the (len(xs),) values at ``nearest_index(xs)``.  Every
+        node in the hull reads exactly the pixel that ``nearest_index``
+        gives it; a node outside the hull reads some pixel's value.
 
         Square rounding is separable: one rounding per column and one per
-        row.  Along a grid row of a hexagonal lattice, between pixel rows
-        r0 and r0 + 1 at fractional position v, the nearest pixel is
-        piecewise constant.  In pitch units, with pixel (n, r0) at s = n
-        and (n, r0 + 1) at s = n + 1/2, the row crosses cell (n, r0) on
-        n +- w, w = clip(1 - 1.5 v, 0, 1/2), and cell (n, r0 + 1) between
-        n + w and n + 1 - w: only row r0's cells when v <= 1/3, only row
-        r0 + 1's when v >= 2/3.  Each run of one cell is expanded in one
-        ``np.repeat``; the nodes within 1e-9 pitch of a cell edge are
-        decided by ``nearest_index`` itself, so ties and roundoff resolve
-        exactly as there.
+        row, then one gather of columns and one of whole rows.  Along a grid
+        row of a hexagonal lattice, between pixel rows r0 and r0 + 1 at
+        fractional position v, the nearest pixel is piecewise constant.  In
+        pitch units, with pixel (n, r0) at s = n and (n, r0 + 1) at
+        s = n + 1/2, the row crosses cell (n, r0) on n +- w,
+        w = clip(1 - 1.5 v, 0, 1/2), and cell (n, r0 + 1) between n + w and
+        n + 1 - w: only row r0's cells when v <= 1/3, only row r0 + 1's
+        when v >= 2/3.  Each run of one cell's value is expanded in one
+        ``np.repeat``; the nodes within 1e-9 pitch of a cell edge read the
+        pixel that ``nearest_index`` gives them, so ties and roundoff
+        resolve exactly as there.
         """
+        values = np.asarray(values)
         xs = np.asarray(xs, dtype=float)
         if self.kind == "line":
-            return self.nearest_index(xs)
+            return values.take(self.nearest_index(xs))
+        if ys is None:
+            raise ValueError(f"a {self.kind} lattice is planar and needs ys")
         ys = np.asarray(ys, dtype=float)
         if self.kind == "square":
             ix, iy = self._square_cells(xs, ys)
-            return iy[:, None] * self.grid_shape[0] + ix
+            return (values.reshape(-1, self.grid_shape[0])
+                    .take(ix, axis=1).take(iy, axis=0))
         ox, oy = self.origin2d
         t = (xs - ox) / self.pitch                 # as in fractional_axial
         rf = (ys - oy) / (_SQRT3 / 2.0 * self.pitch)
@@ -419,18 +425,19 @@ class Lattice:
         cut = np.searchsorted(t, edges - 1e-9)
         near = np.append(t, np.inf).take(cut) <= edges + 1e-9
         ends = cut + np.arange(0, ys.size * t.size, t.size)[:, None]
-        # flat axial-table index; a cell beyond the table is clipped to some
-        # entry, which only nodes outside the hull can fall in
+        # flat axial-table index; a cell beyond the table or a -1 entry is
+        # clipped to some pixel, which only nodes outside the hull fall in
         k = self._rings
         flat = ((n + k) * (2 * k + 1) + r0 + k)[..., None] + np.arange(2)
         cells = self._axial_table.take(flat.astype(np.int64).ravel(), mode="clip")
-        out = np.repeat(cells, np.diff(ends.ravel(), prepend=0))
+        out = np.repeat(values.take(cells, mode="clip"),
+                        np.diff(ends.ravel(), prepend=0))
         out = out.reshape(ys.size, t.size)
         for j, e in zip(*np.nonzero(near)):
             hi = np.searchsorted(t, edges[j, e] + 1e-9, side="right")
             cols = np.arange(cut[j, e], hi)
-            out[j, cols] = self.nearest_index(
-                np.column_stack([xs[cols], np.full(cols.size, ys[j])]))
+            out[j, cols] = values[self.nearest_index(
+                np.column_stack([xs[cols], np.full(cols.size, ys[j])]))]
         return out
 
     def _square_cells(self, x: Array, y: Array) -> Tuple[Array, Array]:

@@ -157,8 +157,8 @@ def hull_calls(monkeypatch):
     the evaluation contract asks of callers; the list names the model of
     each call.  The pixel-only shape kernel reads pixel heights at the
     nearest pixels of its window grid instead, outside the hull too: that
-    lookup is logged as well, and it answers a far pixel for every node
-    outside the hull, so an estimate that used one would change.  Every
+    lookup is logged as well, and it adds 1 to the height it reads at every
+    node outside the hull, so an estimate that used one would change.  Every
     draw runs in this process, where the patch reaches: a helper process
     forked earlier would evaluate some draws out of its sight."""
     _serial(monkeypatch)
@@ -172,15 +172,15 @@ def hull_calls(monkeypatch):
             return _call(self, *point)
         monkeypatch.setattr(cls, "__call__", checked)
 
-    def far_outside(self, xs, ys=None, _call=Lattice.grid_nearest_index):
-        out = _call(self, xs, ys)
+    def raised_outside(self, values, xs, ys=None,
+                       _call=Lattice.grid_nearest):
+        out = _call(self, values, xs, ys)
         pts = xs if ys is None else np.column_stack(
             [np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
-        outside = ~self.contains(pts).reshape(out.shape)
-        out[outside] = (out[outside] + self.n_pixels // 2) % self.n_pixels
-        calls.append("grid_nearest_index")
+        out[~self.contains(pts).reshape(out.shape)] += 1.0
+        calls.append("grid_nearest")
         return out
-    monkeypatch.setattr(Lattice, "grid_nearest_index", far_outside)
+    monkeypatch.setattr(Lattice, "grid_nearest", raised_outside)
     return calls
 
 
@@ -204,7 +204,7 @@ def test_shape_kernel_evaluates_hull_points_only(hull_calls, kind, model):
     est = shape_distortion(model, lat, 90.0, 3, 12, region="full")
     assert len(hull_calls) == 3
     if model is PIX:
-        assert set(hull_calls) == {"grid_nearest_index"}
+        assert set(hull_calls) == {"grid_nearest"}
         errs = _pixel_shape_errors_per_node(lat, peaks, 90.0, 1.0, 256)
         assert est.value == float(np.mean(errs))
         assert est.standard_error == float(np.std(errs, ddof=1)
@@ -329,12 +329,12 @@ class _FailingLattice(Lattice):
     raises for the window of every listed draw; the draw's index is in the
     message."""
 
-    def grid_nearest_index(self, xs, ys=None):
+    def grid_nearest(self, values, xs, ys=None):
         centre = np.array([np.mean(xs), np.mean(ys)])
         for i, peak in self.failing:
             if np.allclose(centre, peak, rtol=0.0, atol=1e-6):
                 raise ValueError(f"draw {i} failed")
-        return super().grid_nearest_index(xs, ys)
+        return super().grid_nearest(values, xs, ys)
 
 
 @pytest.mark.parametrize("failing", [(1, 6), (6,)])
@@ -361,7 +361,7 @@ def test_a_failing_draw_raises_as_a_serial_run_does(monkeypatch, failing):
 def test_window_is_built_once_and_read_only():
     window = distortion._window(2, 90.0, 1.0, 256)
     assert distortion._window(2, 90.0, 1.0, 256) is window
-    for name in ("w", "win", "disc", "rel", "offsets", "phi"):
+    for name in ("w", "win", "rel", "offsets", "phi"):
         arr = getattr(window, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
@@ -371,10 +371,12 @@ def test_window_is_built_once_and_read_only():
     assert window.offsets.shape == (win.size, 2)
     assert window.offsets.tobytes() == np.column_stack(
         [rel[win % rel.size], rel[win // rel.size]]).tobytes()
-    assert np.flatnonzero(window.disc).tobytes() == win.tobytes()
-    assert not window.phi[~window.disc].any()
+    # the Simpson weights vanish beyond l/2 of the centre, and so does phi
+    assert np.flatnonzero(window.w).tobytes() == win.tobytes()
+    assert not window.phi[window.w == 0.0].any()
     line = distortion._window(1, 90.0, 1.0, 256)
     assert line.offsets.tobytes() == line.rel.tobytes()
+    assert line.w.all()
 
 
 @pytest.mark.parametrize("estimator", [position_distortion, shape_distortion])
@@ -390,6 +392,43 @@ def test_estimators_reject_bad_wavelength_and_sample_count(
     lat = make_lattice("hexagonal", 30.0, 60.0)
     with pytest.raises(ValueError, match="wavelength|n_samples"):
         estimator(PIX, lat, wavelength, n, 5)
+
+
+@pytest.mark.parametrize("estimator", [position_distortion, shape_distortion])
+@pytest.mark.parametrize("n", [3.0, np.float64(3.0), True, np.True_, "3",
+                               None])
+def test_estimators_reject_non_integer_sample_counts(monkeypatch, estimator,
+                                                     n):
+    def no_draws(*args):
+        raise AssertionError("drew peaks")
+
+    monkeypatch.setattr(distortion, "_draw_peaks", no_draws)
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    with pytest.raises(ValueError, match="^n_samples must be at least 1$"):
+        estimator(PIX, lat, 90.0, n, 5)
+
+
+@pytest.mark.parametrize("ppw", [256.0, np.float64(256.0), 258.5, True,
+                                 "256", 255, 257])
+def test_shape_distortion_rejects_bad_points_per_wavelength(monkeypatch,
+                                                            ppw):
+    def no_draws(*args):
+        raise AssertionError("drew peaks")
+
+    monkeypatch.setattr(distortion, "_draw_peaks", no_draws)
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    with pytest.raises(ValueError,
+                       match="^need an even points_per_wavelength >= 256$"):
+        shape_distortion(PIX, lat, 90.0, 3, 5, points_per_wavelength=ppw)
+
+
+def test_estimators_take_numpy_integer_counts():
+    lat = make_lattice("hexagonal", 30.0, 60.0)
+    assert shape_distortion(PIX, lat, 90.0, np.int64(3), 5,
+                            points_per_wavelength=np.int64(256)) \
+        == shape_distortion(PIX, lat, 90.0, 3, 5)
+    assert position_distortion(PIX, lat, 90.0, np.int32(3), 5) \
+        == position_distortion(PIX, lat, 90.0, 3, 5)
 
 
 @pytest.mark.parametrize("estimator", [position_distortion, shape_distortion])

@@ -706,25 +706,35 @@ def _lattice_and_grid(draw):
     return lat, xs, ys
 
 
+def _pixel_values(lat):
+    """Values to read over a grid: the pixel indices themselves, and
+    distinct floats that equal no index, so that a lookup that returned
+    indices in place of values cannot pass."""
+    return (np.arange(lat.n_pixels),
+            -np.sqrt(np.arange(lat.n_pixels) + 0.5))
+
+
 @settings(deadline=None, max_examples=300)
 @given(_lattice_and_grid())
-def test_grid_nearest_index_equals_nearest_index_in_the_hull(case):
+def test_grid_nearest_equals_nearest_index_in_the_hull(case):
     lat, xs, ys = case
-    got = lat.grid_nearest_index(xs) if ys is None \
-        else lat.grid_nearest_index(xs, ys)
-    assert got.shape == ((len(xs),) if ys is None else (len(ys), len(xs)))
-    assert got.dtype == np.int64
-    assert np.all((got >= -1) & (got < lat.n_pixels))
     pts = _grid_points(xs, ys)
     inside = lat.contains(pts)
-    assert got.ravel()[inside].tobytes() == \
-        lat.nearest_index(pts)[inside].tobytes()
+    near = lat.nearest_index(pts)[inside]
+    for values in _pixel_values(lat):
+        got = lat.grid_nearest(values, xs) if ys is None \
+            else lat.grid_nearest(values, xs, ys)
+        assert got.shape == ((len(xs),) if ys is None else (len(ys), len(xs)))
+        assert got.dtype == values.dtype
+        # a node outside the hull reads some pixel's value
+        assert np.isin(got, values).all()
+        assert got.ravel()[inside].tobytes() == values[near].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["square", "hexagonal"])
-def test_grid_nearest_index_on_cell_edges(kind):
+def test_grid_nearest_on_cell_edges(kind):
     # a grid whose nodes sit on cell edges and corners, to roundoff: many
-    # nodes are tied between pixels, and each must still get the pixel
+    # nodes are tied between pixels, and each must still read the pixel
     # nearest_index gives it
     if kind == "square":
         lat = make_lattice("square", 30.0, ((0.0, 150.0), (0.0, 120.0)))
@@ -738,8 +748,19 @@ def test_grid_nearest_index_on_cell_edges(kind):
     _, d = _brute_nearest(lat, pts)
     tied = np.sum(d <= d.min(axis=1)[:, None] + 1e-9 * lat.pitch, axis=1) > 1
     assert np.count_nonzero(tied & inside) > 100
-    got = lat.grid_nearest_index(xs, ys).ravel()
-    assert got[inside].tobytes() == lat.nearest_index(pts)[inside].tobytes()
+    near = lat.nearest_index(pts)[inside]
+    for values in _pixel_values(lat):
+        got = lat.grid_nearest(values, xs, ys).ravel()
+        assert got[inside].tobytes() == values[near].tobytes()
+
+
+@pytest.mark.parametrize("kind", ["square", "hexagonal"])
+def test_grid_nearest_needs_ys_on_planar_lattices(kind):
+    lat = make_lattice(kind, 30.0, ((0.0, 90.0), (0.0, 60.0))
+                       if kind == "square" else 60.0)
+    with pytest.raises(ValueError,
+                       match=f"^a {kind} lattice is planar and needs ys$"):
+        lat.grid_nearest(np.arange(lat.n_pixels), np.linspace(0.0, 60.0, 7))
 
 
 # ======================================================================
