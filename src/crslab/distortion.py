@@ -252,9 +252,10 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     points_per_wavelength subintervals per wavelength; in 2D it is the
     disc of diameter l, integrated by the product Simpson rule over the
     nodes of the square grid of that spacing that lie in the disc (its
-    Simpson weights are built once per process, 0 beyond the disc).  The
-    pixel-only model reads the nodes' heights at their nearest pixels over
-    the whole grid at once (``Lattice.grid_nearest``).  The draws are
+    Simpson weights and their per-row running sums are built once per
+    process, 0 beyond the disc).  The pixel-only error is summed over the
+    runs of nodes that share a nearest pixel (``Lattice.grid_runs``), and
+    differs from a per-node sum by roundoff only.  The draws are
     shared one by one with crslab's helper processes, as a build's beams
     are (see README, Processes); the estimate equals that of a serial run
     bit for bit.  Raises ValueError for a wavelength or amplitude that is
@@ -291,6 +292,10 @@ class _Window(NamedTuple):
     rel: np.ndarray       # the m grid coordinates along each axis
     offsets: np.ndarray   # the win nodes' offsets from the centre, (n,) or (n, 2)
     phi: np.ndarray       # the ideal shape over the segment or grid
+    # sums over the first i nodes of each row, at [row * (m + 1) + i], of
+    # (w, w phi) and of w phi^2: a run's sums are differences of two entries
+    sums: np.ndarray      # (rows * (m + 1), 2)
+    sum_wphi2: np.ndarray
     den: float            # sum of phi^2 w
 
 
@@ -318,7 +323,13 @@ def _window(ndim: int, wl: float, amplitude: float, ppw: int) -> _Window:
                                                    rel[win // m]]).T
     phi = np.zeros(rr.size)
     phi[win] = _raised_cosine(rr[win], amplitude, wl)
-    window = _Window(w, win, rel, offsets, phi, float(phi ** 2 @ w))
+    sums = np.zeros((w.size // m, m + 1, 2))
+    sum_wphi2 = np.zeros((w.size // m, m + 1))
+    for out, terms in ((sums[..., 0], w), (sums[..., 1], w * phi),
+                       (sum_wphi2, w * phi * phi)):
+        np.cumsum(terms.reshape(-1, m), axis=1, out=out[:, 1:])
+    window = _Window(w, win, rel, offsets, phi, sums.reshape(-1, 2),
+                     sum_wphi2.ravel(), float(phi ** 2 @ w))
     for a in window[:-1]:
         a.flags.writeable = False
     return window
@@ -330,16 +341,38 @@ def _shape_error(model, lattice, peak, whole: bool, wl, amplitude,
     ``whole`` is its ``_whole_windows`` flag.
 
     Only window nodes in the hull contribute: a window that crosses the
-    hull's edge keeps those nodes' Simpson weights alone, and the sums run
-    over the full segment or grid, which keeps them order-stable.  The
-    pixel-only model reads its heights at the nearest pixels of the whole
-    grid (``Lattice.grid_nearest``), outside the hull too; the other
-    models evaluate their surfaces at the window nodes in the hull."""
-    w, win, rel, offsets, phi, den = _window(lattice.ndim, wl, amplitude, ppw)
+    hull's edge keeps those nodes' Simpson weights alone.  The pixel-only
+    surface is constant along each run of ``Lattice.grid_runs``, so with
+    S0 and S1 the sums of w and w phi over a run (differences of the
+    window's per-row sums) and h its pixel's height, the squared error is
+    den + sum over runs of h (h S0 - 2 S1), clamped at 0 against
+    cancellation.  A window crossing the hull's edge clips each row's runs
+    to the row's nodes in the hull (``Lattice.grid_hull``), and takes den
+    over those nodes.  The other models evaluate their surfaces at the
+    window nodes in the hull, and the sums run over the full segment or
+    grid, which keeps them order-stable."""
+    w, win, rel, offsets, phi, sums, sum_wphi2, den = _window(
+        lattice.ndim, wl, amplitude, ppw)
+    profile = build_profile(model, _field_for(lattice, peak, amplitude, wl),
+                            lattice)
+    if model.variant == "pixel-only":
+        axes = np.reshape(peak, (-1, 1)) + rel
+        row, first, end, pixel = lattice.grid_runs(*axes)
+        stride = rel.size + 1                  # of the per-row sums
+        if not whole:
+            lo, hi = lattice.grid_hull(*axes)
+            first = np.clip(first, lo[row], hi[row])
+            end = np.clip(end, lo[row], hi[row])
+            rows = np.arange(0, sum_wphi2.size, stride)
+            den = float(np.sum(sum_wphi2.take(rows + hi)
+                               - sum_wphi2.take(rows + lo)))
+        at = row * stride
+        s = sums.take(at + end, axis=0) - sums.take(at + first, axis=0)
+        h = profile.heights.take(pixel)
+        err2 = den + float(np.vdot(h, h * s[..., 0] - 2.0 * s[..., 1]))
+        return math.sqrt(max(err2, 0.0) / den)
     node = win
-    pixel_only = model.variant == "pixel-only"
-    if not (pixel_only and whole):
-        pts = peak + offsets
+    pts = peak + offsets
     if not whole:
         inside = lattice.contains(pts)
         node = win[inside]
@@ -347,19 +380,10 @@ def _shape_error(model, lattice, peak, whole: bool, wl, amplitude,
         kept[node] = w[node]
         w = kept
         den = float(phi ** 2 @ w)
-    profile = build_profile(model, _field_for(lattice, peak, amplitude, wl),
-                            lattice)
-    if pixel_only:
-        err = lattice.grid_nearest(profile.heights,
-                                   *(np.reshape(peak, (-1, 1)) + rel)).ravel()
-        np.subtract(phi, err, out=err)
-        err *= err
-    else:
-        if not whole:
-            # per column, which keeps pts column-major
-            pts = np.compress(inside, pts.T, axis=-1).T
-        err = np.zeros(w.size)
-        err[node] = (phi[node] - profile(pts)) ** 2
+        # per column, which keeps pts column-major
+        pts = np.compress(inside, pts.T, axis=-1).T
+    err = np.zeros(w.size)
+    err[node] = (phi[node] - profile(pts)) ** 2
     return math.sqrt(float(err @ w) / den)
 
 

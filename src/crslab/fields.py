@@ -281,21 +281,27 @@ class Lattice:
         """True for points inside the display hull shrunk inward by margin."""
         eps = 1e-9 * max(self.pitch, 1.0)
         if self.kind == "line":
-            x0, x1 = self.hull_bounds()
-            p = np.asarray(points, dtype=float)
-            return (p >= x0 + margin - eps) & (p <= x1 - margin + eps)
+            return _between(np.asarray(points, dtype=float),
+                            self.hull_bounds(), margin, eps)
         p = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "square":
-            (x0, x1), (y0, y1) = self.hull_bounds()
-            return ((p[:, 0] >= x0 + margin - eps) & (p[:, 0] <= x1 - margin + eps)
-                    & (p[:, 1] >= y0 + margin - eps) & (p[:, 1] <= y1 - margin + eps))
-        radius = self.hull_bounds()
-        apothem = radius * _SQRT3 / 2.0 - margin
+            xb, yb = self.hull_bounds()
+            return (_between(p[:, 0], xb, margin, eps)
+                    & _between(p[:, 1], yb, margin, eps))
+        normals, bound = self._hex_slabs(margin)
         ok = np.ones(p.shape[0], dtype=bool)
-        for ang in (math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0):
-            nx, ny = math.cos(ang), math.sin(ang)
-            ok &= np.abs(p[:, 0] * nx + p[:, 1] * ny) <= apothem + eps
+        for nx, ny in normals:
+            ok &= np.abs(p[:, 0] * nx + p[:, 1] * ny) <= bound
         return ok
+
+    def _hex_slabs(self, margin: float) -> Tuple[List[Tuple[float, float]],
+                                                 float]:
+        """The hexagonal hull shrunk inward by margin, as ``contains`` tests
+        it: the points with |x nx + y ny| <= bound for each normal."""
+        eps = 1e-9 * max(self.pitch, 1.0)
+        bound = self.hull_bounds() * _SQRT3 / 2.0 - margin + eps
+        return [(math.cos(ang), math.sin(ang)) for ang in
+                (math.pi / 6.0, math.pi / 2.0, 5.0 * math.pi / 6.0)], bound
 
     # ---------------- uniform sampling over the hull ----------------
 
@@ -360,8 +366,8 @@ class Lattice:
         halves down per axis, hexagonal ones break ties as an infinitesimal
         step towards -y, then -x, would.  Ties are judged in the fractional
         lattice coordinates, so a point within roundoff of a cell boundary
-        may land on either side of it.  ``grid_nearest`` reads values at
-        the same pixels over a tensor grid of points, row by row.
+        may land on either side of it.  ``grid_runs`` gives the same
+        pixels over a tensor grid of points, as runs along its rows.
         """
         if self.kind == "line":
             p = np.atleast_1d(np.asarray(points, dtype=float))
@@ -378,75 +384,153 @@ class Lattice:
         k = self._rings
         return self._axial_table.take((q + k) * (2 * k + 1) + r + k)
 
-    def grid_nearest(self, values: Array, xs: Array,
-                     ys: Optional[Array] = None) -> Array:
-        """``values[nearest_index(...)]`` over the tensor grid of the
-        increasing coordinates xs and, on planar lattices, ys: entry [j, i]
-        is the value at the nearest pixel of node (xs[i], ys[j]), and a line
-        lattice gives the (len(xs),) values at ``nearest_index(xs)``.  Every
-        node in the hull reads exactly the pixel that ``nearest_index``
-        gives it; a node outside the hull reads some pixel's value.
+    def grid_runs(self, xs: Array, ys: Optional[Array] = None
+                  ) -> Tuple[Array, Array, Array, Array]:
+        """The nearest pixels over the tensor grid of the increasing
+        coordinates xs and, on planar lattices, ys, as runs along the grid's
+        rows: integer arrays (row, first, end, pixel) that broadcast
+        together to one element per run, which says that nodes first ..
+        end - 1 of grid row ``row`` (node i at xs[i], row j at ys[j]; a line
+        lattice's grid is one row) read pixel ``pixel``.  The runs of a row
+        partition its nodes, and some may be empty.  Every node in the hull
+        gets exactly the pixel that ``nearest_index`` gives it; a node
+        outside the hull gets some pixel.
 
-        Square rounding is separable: one rounding per column and one per
-        row, then one gather of columns and one of whole rows.  Along a grid
-        row of a hexagonal lattice, between pixel rows r0 and r0 + 1 at
-        fractional position v, the nearest pixel is piecewise constant.  In
-        pitch units, with pixel (n, r0) at s = n and (n, r0 + 1) at
-        s = n + 1/2, the row crosses cell (n, r0) on n +- w,
-        w = clip(1 - 1.5 v, 0, 1/2), and cell (n, r0 + 1) between n + w and
-        n + 1 - w: only row r0's cells when v <= 1/3, only row r0 + 1's
-        when v >= 2/3.  Each run of one cell's value is expanded in one
-        ``np.repeat``; the nodes within 1e-9 pitch of a cell edge read the
-        pixel that ``nearest_index`` gives them, so ties and roundoff
-        resolve exactly as there.
+        Line: the cuts are where xs passes the cell midpoints, found as
+        ``nearest_index`` finds them.  Square rounding is separable: the
+        runs of equal grid column, (1, K), are shared by the rows, (R, 1),
+        and each row reads its own pixel row.  Along a grid row of a
+        hexagonal lattice, between pixel rows r0 and r0 + 1 at fractional
+        position v, the nearest pixel is piecewise constant.  In pitch
+        units, with pixel (n, r0) at s = n and (n, r0 + 1) at s = n + 1/2,
+        the row crosses cell (n, r0) on n +- w, w = clip(1 - 1.5 v, 0, 1/2),
+        and cell (n, r0 + 1) between n + w and n + 1 - w: only row r0's
+        cells when v <= 1/3, only row r0 + 1's when v >= 2/3.  Consecutive
+        rows with equal (r0, w) cross the same cells at the same edges, so
+        their runs are found once, with the edges' cuts placed from the
+        step of a uniform x axis (``_cuts``).  A node within 1e-9 pitch of a
+        cell edge becomes a run of its own that reads the pixel
+        ``nearest_index`` gives it, so ties and roundoff resolve exactly as
+        there.
         """
-        values = np.asarray(values)
         xs = np.asarray(xs, dtype=float)
         if self.kind == "line":
-            return values.take(self.nearest_index(xs))
+            mids = 0.5 * (self.positions[1:] + self.positions[:-1])
+            p0, p1 = np.searchsorted(mids, xs[[0, -1]], side="left")
+            cuts = np.searchsorted(xs, mids[p0:p1], side="right")
+            return (np.zeros(1, dtype=np.int64), np.concatenate(([0], cuts)),
+                    np.concatenate((cuts, [xs.size])), np.arange(p0, p1 + 1))
         if ys is None:
             raise ValueError(f"a {self.kind} lattice is planar and needs ys")
         ys = np.asarray(ys, dtype=float)
         if self.kind == "square":
             ix, iy = self._square_cells(xs, ys)
-            return (values.reshape(-1, self.grid_shape[0])
-                    .take(ix, axis=1).take(iy, axis=0))
+            cuts = np.flatnonzero(ix[1:] != ix[:-1]) + 1
+            first = np.concatenate(([0], cuts))
+            return (np.arange(ys.size)[:, None], first[None],
+                    np.concatenate((cuts, [xs.size]))[None],
+                    iy[:, None] * self.grid_shape[0] + ix[first])
         ox, oy = self.origin2d
         t = (xs - ox) / self.pitch                 # as in fractional_axial
         rf = (ys - oy) / (_SQRT3 / 2.0 * self.pitch)
-        r0 = np.floor(rf)[:, None]
-        w = np.clip(1.0 - 1.5 * (rf[:, None] - r0), 0.0, 0.5)
+        r0 = np.floor(rf)
+        w = np.minimum(np.maximum(1.0 - 1.5 * (rf - r0), 0.0), 0.5)
+        new = np.empty(ys.size, dtype=bool)
+        new[0] = True
+        new[1:] = (r0[1:] != r0[:-1]) | (w[1:] != w[:-1])
+        band = np.cumsum(new) - 1                  # each row's band
+        r0, w = r0[new, None], w[new, None]
         # cells (n, r0) and (n, r0 + 1) for n = n0 .. n0 + P - 1, and the
         # edge after each; the last edge lies beyond t[-1]
         periods = int(math.ceil(t[-1] - t[0])) + 2
         n = np.floor(t[0] - 0.5 * r0) + np.arange(periods)
-        edges = ((n + 0.5 * r0)[..., None]
-                 + np.stack([w, 1.0 - w], axis=-1)).reshape(ys.size, -1)
-        cut = np.searchsorted(t, edges - 1e-9)
+        left = n + 0.5 * r0
+        edges = np.empty((r0.size, 2 * periods))
+        edges[:, 0::2] = left + w
+        edges[:, 1::2] = left + (1.0 - w)
+        cut = _cuts(t, edges - 1e-9)
+        # the run after an edge starts past the nodes within 1e-9 of it
+        stop = cut.copy()
         near = np.append(t, np.inf).take(cut) <= edges + 1e-9
-        ends = cut + np.arange(0, ys.size * t.size, t.size)[:, None]
+        if near.any():
+            stop[near] = np.searchsorted(t, edges[near] + 1e-9, side="right")
+        start = np.zeros_like(cut)
+        start[:, 1:] = stop[:, :-1]
         # flat axial-table index; a cell beyond the table or a -1 entry is
         # clipped to some pixel, which only nodes outside the hull fall in
         k = self._rings
-        flat = ((n + k) * (2 * k + 1) + r0 + k)[..., None] + np.arange(2)
-        cells = self._axial_table.take(flat.astype(np.int64).ravel(), mode="clip")
-        out = np.repeat(values.take(cells, mode="clip"),
-                        np.diff(ends.ravel(), prepend=0))
-        out = out.reshape(ys.size, t.size)
-        for j, e in zip(*np.nonzero(near)):
-            hi = np.searchsorted(t, edges[j, e] + 1e-9, side="right")
-            cols = np.arange(cut[j, e], hi)
-            out[j, cols] = values[self.nearest_index(
-                np.column_stack([xs[cols], np.full(cols.size, ys[j])]))]
-        return out
+        flat = ((n + k) * (2 * k + 1) + (r0 + k))[..., None] + np.arange(2)
+        cells = np.maximum(self._axial_table.take(
+            flat.astype(np.int64).reshape(r0.size, -1), mode="clip"), 0)
+        row = np.arange(ys.size)[:, None]
+        first, end, pixel = (a.take(band, axis=0) for a in (start, cut, cells))
+        if not near.any():
+            return row, first, end, pixel
+        # an edge's nodes may reach past the next edge, which empties the
+        # run between them; the edge nodes are each band's, in every row of
+        # the band
+        b, e = np.nonzero(near)
+        lo = np.maximum(cut[b, e], start[b, e])
+        count = np.maximum(stop[b, e] - lo, 0)
+        node = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
+                                                  count)
+        j, i = np.nonzero(band[:, None] == np.repeat(b, count))
+        pixel_at = self.nearest_index(np.column_stack([xs[node[i]], ys[j]]))
+        return (np.append(row.repeat(first.shape[1]), j),
+                np.append(first, node[i]),
+                np.append(np.maximum(end, first), node[i] + 1),
+                np.append(pixel, pixel_at))
+
+    def grid_hull(self, xs: Array, ys: Optional[Array] = None
+                  ) -> Tuple[Array, Array]:
+        """The nodes of each row of the tensor grid of ``grid_runs`` that
+        lie in the hull, node for node as ``contains`` judges them: nodes
+        lo[j] .. hi[j] - 1 of row j, one row on a line lattice.  The hull is
+        convex, so they are one interval.  Line and square hulls are tested
+        per axis.  A hexagonal hull is three slabs |x nx + y ny| <= bound,
+        and along a row x nx + y ny, summed as ``contains`` sums it, is
+        monotone, so each slab's ends are searched for and then settled
+        against that sum (``_settle``)."""
+        xs = np.asarray(xs, dtype=float)
+        eps = 1e-9 * max(self.pitch, 1.0)
+        if self.kind != "hexagonal":
+            if self.kind == "line":
+                cols = _between(xs, self.hull_bounds(), 0.0, eps)
+                rows = np.ones(1, dtype=bool)
+            else:
+                xb, yb = self.hull_bounds()
+                cols = _between(xs, xb, 0.0, eps)
+                rows = _between(np.asarray(ys, dtype=float), yb, 0.0, eps)
+            # xs increases, so its nodes in the hull are one interval
+            lo = np.argmax(cols)
+            hi = lo + np.count_nonzero(cols)
+            return np.where(rows, lo, 0), np.where(rows, hi, 0)
+        ys = np.asarray(ys, dtype=float)
+        normals, bound = self._hex_slabs(0.0)
+        # s (x nx + y ny) does not decrease along a row; it enters each slab
+        # where it reaches -bound and leaves it where it exceeds bound, that
+        # is, reaches the next float up
+        s = np.array([[1.0 if nx >= 0.0 else -1.0] for nx, _ in normals])
+        a = np.array([xs * nx for nx, _ in normals])
+        b = np.array([ys * ny for _, ny in normals])[:, None]
+        edge = np.array([[-bound], [np.nextafter(bound, np.inf)]])
+        guess = np.array([np.searchsorted(sa, ea) for sa, ea in
+                          zip(s * a, edge - s[:, None] * b)])
+        at = np.arange(0, a.size, xs.size)[:, None, None]
+        ends = _settle(guess, lambda i: s[:, None] * (a.take(at + i) + b)
+                       >= edge, xs.size)
+        lo = ends[:, 0].max(axis=0)
+        return lo, np.maximum(ends[:, 1].min(axis=0), lo)
 
     def _square_cells(self, x: Array, y: Array) -> Tuple[Array, Array]:
         """Grid column of the nearest pixel for each x and grid row for each
         y: rounded half down and clamped, per axis."""
         nx, ny = self.grid_shape
         ox, oy = self.origin2d
-        ix = np.clip(_round_half_down((x - ox) / self.pitch), 0, nx - 1)
-        iy = np.clip(_round_half_down((y - oy) / self.pitch), 0, ny - 1)
+        ix = np.minimum(np.maximum(_round_half_down((x - ox) / self.pitch), 0),
+                        nx - 1)
+        iy = np.minimum(np.maximum(_round_half_down((y - oy) / self.pitch), 0),
+                        ny - 1)
         return ix.astype(np.int64), iy.astype(np.int64)
 
     def nearest_distance(self, points: Array) -> Array:
@@ -709,6 +793,45 @@ class Lattice:
             raise ValueError("hexagonal neighbour distances broken")
 
 
+def _between(v: Array, bounds: Tuple[float, float], margin: float,
+             eps: float) -> Array:
+    """v in [lo + margin, hi - margin] to within eps."""
+    return (v >= bounds[0] + margin - eps) & (v <= bounds[1] - margin + eps)
+
+
+def _cuts(t: Array, e: Array) -> Array:
+    """``np.searchsorted(t, e)`` for an increasing t.  When every t[i] lies
+    within a quarter step of t[0] + i step, the cut nearest ceil((e - t[0])
+    / step) is off by at most one node, and one comparison on either side
+    settles it; that is about twice as fast as the binary search, which
+    any other axis takes."""
+    step = (t[-1] - t[0]) / max(t.size - 1, 1)
+    if not (step > 0.0 and np.all(np.abs(t - (t[0] + step * np.arange(t.size)))
+                                  < 0.25 * step)):
+        return np.searchsorted(t, e)
+    i = np.minimum(np.maximum(np.ceil((e - t[0]) * (1.0 / step)), 0.0),
+                   t.size).astype(np.int64)
+    padded = np.concatenate(([-np.inf], t, [np.inf]))   # t[i - 1] at [i]
+    i -= padded.take(i) >= e
+    i += padded.take(i + 1) < e
+    return i
+
+
+def _settle(i: Array, holds, n: int) -> Array:
+    """For each guess in i, the first index in 0 .. n at which holds is
+    True, for a test holds(index array) that is False and then True along
+    0 .. n - 1 (n standing for True): the guesses step one index at a time
+    until each sits on the change, so the answer is exact however far off
+    they were, and cheap when they are close."""
+    i = np.clip(i, 0, n)
+    while True:
+        down = (i > 0) & holds(np.maximum(i - 1, 0))
+        up = ~down & (i < n) & ~holds(np.minimum(i, n - 1))
+        if not (down.any() or up.any()):
+            return i
+        i = i - down + up
+
+
 def _round_half_down(x: Array) -> Array:
     c = np.ceil(x)
     return c - (c - x >= 0.5)
@@ -813,16 +936,29 @@ def make_lattice(kind: str, pitch: float, extents) -> Lattice:
 
 def sample_pixels(fld, lattice: Lattice) -> PixelHeights:
     """Heights the pixels must take to sample the field: heights[i] is the
-    field evaluated at pixel i."""
+    field evaluated at pixel i.  Pixels are enumerated by x on a line and
+    by (y, x) otherwise, so the ones whose x (line) or y lies within l/2 of
+    the peak's, as the bump's own subtraction gives it, are one index
+    range; the bump is evaluated there alone.  Every other pixel is farther
+    than l/2 from the peak, and its height is +0.0, as the bump gives it."""
     if lattice.kind == "line":
         if not isinstance(fld, BumpField1D):
             raise TypeError("line lattices sample 1D fields")
-        h = np.asarray(bump1d(lattice.positions, fld), dtype=float)
+        along, centre = lattice.positions, fld.peak
     else:
         if not isinstance(fld, BumpField2D):
             raise TypeError("planar lattices sample 2D fields")
-        h = np.asarray(bump2d(lattice.positions[:, 0], lattice.positions[:, 1], fld),
-                       dtype=float)
-    if not np.all(np.isfinite(h)):
+        along, centre = lattice.positions[:, 1], fld.peak[1]
+    offset = along - centre
+    half = 0.5 * fld.wavelength
+    lo = int(np.searchsorted(offset, -half, side="left"))
+    hi = int(np.searchsorted(offset, half, side="right"))
+    h = np.zeros(lattice.n_pixels)
+    if lattice.kind == "line":
+        h[lo:hi] = bump1d(lattice.positions[lo:hi], fld)
+    else:
+        pos = lattice.positions[lo:hi]
+        h[lo:hi] = bump2d(pos[:, 0], pos[:, 1], fld)
+    if not np.all(np.isfinite(h[lo:hi])):
         raise ValueError("non-finite pixel height")
     return h

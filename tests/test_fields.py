@@ -8,6 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from crslab import fields
 from crslab.fields import (
     BumpField1D,
     BumpField2D,
@@ -667,10 +668,11 @@ def _lattice_and_grid(draw):
     fraction of the pitch along x and of the row spacing along y, so that
     their nodes fall on cell edges and, on hexagonal lattices, on the rows
     between pixel rows where the cell edges meet (v = 1/3, 1/2, 2/3); with
-    an irrational row spacing those ties hold only to roundoff."""
+    an irrational row spacing those ties hold only to roundoff.  Uneven
+    grids have increasing axes of random spacing."""
     kind = draw(st.sampled_from(["line", "square", "hexagonal"]))
-    aligned = draw(st.booleans())
-    if aligned:
+    spacing = draw(st.sampled_from(["aligned", "uniform", "uneven"]))
+    if spacing == "aligned":
         pitch = draw(st.sampled_from([0.75, 1.0, 3.0, 30.0]))
     else:
         pitch = draw(st.floats(0.5, 50.0))
@@ -688,7 +690,7 @@ def _lattice_and_grid(draw):
                            pitch * draw(st.integers(1, 6)))
     row = pitch * (math.sqrt(3.0) / 2.0 if kind == "hexagonal" else 1.0)
     span = pitch * draw(st.floats(0.5, 10.0))
-    if aligned:
+    if spacing == "aligned":
         centre = lat.positions[draw(st.integers(0, lat.n_pixels - 1))]
         centre = np.atleast_1d(centre)
         sx = pitch / draw(st.sampled_from([2, 4, 8]))
@@ -696,43 +698,59 @@ def _lattice_and_grid(draw):
         nx, ny = (max(1, int(span / s)) for s in (sx, sy))
         xs = centre[0] + sx * np.arange(-nx, nx + 1)
         ys = None if kind == "line" else centre[1] + sy * np.arange(-ny, ny + 1)
+        return lat, xs, ys
+    unit = st.floats(0.0, 1.0)
+    u = draw(st.tuples(unit, unit, unit))[:lat.uniforms_per_point()]
+    centre = np.atleast_1d(lat.points_from_uniform(np.array([u]))[0])
+    size = draw(st.integers(1, 60))
+    if spacing == "uniform":
+        axes = [np.linspace(-0.5 * span, 0.5 * span, size)] * 2
     else:
-        unit = st.floats(0.0, 1.0)
-        u = draw(st.tuples(unit, unit, unit))[:lat.uniforms_per_point()]
-        centre = np.atleast_1d(lat.points_from_uniform(np.array([u]))[0])
-        rel = np.linspace(-0.5 * span, 0.5 * span, draw(st.integers(1, 60)))
-        xs = centre[0] + rel
-        ys = None if kind == "line" else centre[1] + rel
+        axes = [np.cumsum(draw(st.lists(st.floats(1e-3, 1.0), min_size=size,
+                                        max_size=size))) for _ in range(2)]
+        axes = [span * (a - 0.5 * a[-1]) / a[-1] for a in axes]
+    xs = centre[0] + axes[0]
+    ys = None if kind == "line" else centre[1] + axes[1]
     return lat, xs, ys
 
 
-def _pixel_values(lat):
-    """Values to read over a grid: the pixel indices themselves, and
-    distinct floats that equal no index, so that a lookup that returned
-    indices in place of values cannot pass."""
-    return (np.arange(lat.n_pixels),
-            -np.sqrt(np.arange(lat.n_pixels) + 0.5))
+def _expand_runs(lat, xs, ys):
+    """``grid_runs`` as a grid of pixels, (len(ys), len(xs)) or (1, len(xs))
+    on a line, after checking that the runs of every row partition its
+    nodes and that every run reads a pixel."""
+    runs = lat.grid_runs(xs) if ys is None else lat.grid_runs(xs, ys)
+    assert all(a.dtype.kind == "i" for a in runs)
+    row, first, end, pixel = (a.ravel() for a in np.broadcast_arrays(*runs))
+    rows = 1 if ys is None else len(ys)
+    assert np.all((0 <= first) & (first <= end) & (end <= len(xs)))
+    assert np.all((0 <= pixel) & (pixel < lat.n_pixels))
+    assert np.all((0 <= row) & (row < rows))
+    count = end - first
+    node = np.repeat(row * len(xs) + first - np.cumsum(count) + count,
+                     count) + np.arange(count.sum())
+    assert np.bincount(node, minlength=rows * len(xs)).tolist() \
+        == [1] * (rows * len(xs))
+    grid = np.empty(rows * len(xs), dtype=np.int64)
+    grid[node] = np.repeat(pixel, end - first)
+    return grid.reshape(rows, len(xs))
+
+
+def _assert_runs_read_nearest_index(lat, xs, ys):
+    pts = _grid_points(xs, ys)
+    inside = lat.contains(pts)
+    got = _expand_runs(lat, xs, ys).ravel()
+    assert got[inside].tobytes() == lat.nearest_index(pts)[inside].tobytes()
+    return inside
 
 
 @settings(deadline=None, max_examples=300)
 @given(_lattice_and_grid())
-def test_grid_nearest_equals_nearest_index_in_the_hull(case):
-    lat, xs, ys = case
-    pts = _grid_points(xs, ys)
-    inside = lat.contains(pts)
-    near = lat.nearest_index(pts)[inside]
-    for values in _pixel_values(lat):
-        got = lat.grid_nearest(values, xs) if ys is None \
-            else lat.grid_nearest(values, xs, ys)
-        assert got.shape == ((len(xs),) if ys is None else (len(ys), len(xs)))
-        assert got.dtype == values.dtype
-        # a node outside the hull reads some pixel's value
-        assert np.isin(got, values).all()
-        assert got.ravel()[inside].tobytes() == values[near].tobytes()
+def test_grid_runs_give_nearest_index_in_the_hull(case):
+    _assert_runs_read_nearest_index(*case)
 
 
 @pytest.mark.parametrize("kind", ["square", "hexagonal"])
-def test_grid_nearest_on_cell_edges(kind):
+def test_grid_runs_on_cell_edges(kind):
     # a grid whose nodes sit on cell edges and corners, to roundoff: many
     # nodes are tied between pixels, and each must still read the pixel
     # nearest_index gives it
@@ -744,23 +762,85 @@ def test_grid_nearest_on_cell_edges(kind):
         xs = np.arange(-100, 101) * 1.875
         ys = np.arange(-40, 41) * (15.0 * math.sqrt(3.0) / 6.0)
     pts = _grid_points(xs, ys)
-    inside = lat.contains(pts)
     _, d = _brute_nearest(lat, pts)
     tied = np.sum(d <= d.min(axis=1)[:, None] + 1e-9 * lat.pitch, axis=1) > 1
+    inside = _assert_runs_read_nearest_index(lat, xs, ys)
     assert np.count_nonzero(tied & inside) > 100
-    near = lat.nearest_index(pts)[inside]
-    for values in _pixel_values(lat):
-        got = lat.grid_nearest(values, xs, ys).ravel()
-        assert got[inside].tobytes() == values[near].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["square", "hexagonal"])
-def test_grid_nearest_needs_ys_on_planar_lattices(kind):
+def test_grid_runs_need_ys_on_planar_lattices(kind):
     lat = make_lattice(kind, 30.0, ((0.0, 90.0), (0.0, 60.0))
                        if kind == "square" else 60.0)
     with pytest.raises(ValueError,
                        match=f"^a {kind} lattice is planar and needs ys$"):
-        lat.grid_nearest(np.arange(lat.n_pixels), np.linspace(0.0, 60.0, 7))
+        lat.grid_runs(np.linspace(0.0, 60.0, 7))
+
+
+@settings(deadline=None, max_examples=300)
+@given(n=st.integers(1, 80), t0=st.floats(-1e3, 1e3),
+       step=st.floats(1e-3, 10.0), jitter=st.floats(0.0, 0.9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_cuts_equal_the_binary_search(n, t0, step, jitter, seed):
+    # axes within a quarter step of uniform take the arithmetic cuts, the
+    # others the binary search; keys sit on the nodes, one ulp to either
+    # side of them, and anywhere from before the first to past the last
+    rng = np.random.default_rng(seed)
+    t = t0 + step * (np.arange(n) + jitter * rng.uniform(-1.0, 1.0, n))
+    t = np.unique(t)
+    keys = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                           rng.uniform(t[0] - 2.0 * step, t[-1] + 2.0 * step,
+                                       (3, 7)).ravel()])
+    assert (fields._cuts(t, keys) == np.searchsorted(t, keys)).all()
+
+
+def _assert_grid_hull_is_contains(lat, xs, ys):
+    lo, hi = lat.grid_hull(xs) if ys is None else lat.grid_hull(xs, ys)
+    rows = 1 if ys is None else len(ys)
+    assert lo.shape == hi.shape == (rows,)
+    assert np.all((0 <= lo) & (lo <= hi) & (hi <= len(xs)))
+    cols = np.arange(len(xs))
+    got = ((cols >= lo[:, None]) & (cols < hi[:, None])).ravel()
+    want = lat.contains(_grid_points(xs, ys))
+    assert got.tolist() == want.tolist()
+    return want
+
+
+@settings(deadline=None, max_examples=300)
+@given(_lattice_and_grid())
+def test_grid_hull_is_contains_node_for_node(case):
+    _assert_grid_hull_is_contains(*case)
+
+
+@pytest.mark.parametrize("kind", ["line", "square", "hexagonal"])
+def test_grid_hull_on_the_hull_edges(kind):
+    # windows whose rows and columns meet the hull's edges to within
+    # roundoff, where contains' tolerance decides, and grids that miss the
+    # hull altogether
+    if kind == "line":
+        lat = make_lattice("line", 30.0, (0.0, 150.0))
+        grids = [(np.arange(-20, 61) * 3.75, None),
+                 (150.0 + np.arange(-8, 9) * 1e-8, None),
+                 (np.arange(200.0, 300.0, 7.5), None)]
+    elif kind == "square":
+        lat = make_lattice("square", 30.0, ((0.0, 150.0), (0.0, 120.0)))
+        grids = [(np.arange(-20, 61) * 3.75, np.arange(-20, 53) * 3.75),
+                 (150.0 + np.arange(-8, 9) * 1e-8,
+                  np.arange(-8, 9) * 1e-8),
+                 (np.arange(200.0, 300.0, 7.5), np.arange(10.0, 90.0, 7.5))]
+    else:
+        lat = make_lattice("hexagonal", 30.0, 90.0)
+        top = 3 * 15.0 * math.sqrt(3.0)
+        grids = [(np.arange(-100, 101) * 1.875,
+                  np.arange(-60, 61) * (15.0 * math.sqrt(3.0) / 12.0)),
+                 (np.arange(-100, 101) * 0.9375,
+                  top + np.arange(-8, 9) * 1e-8),
+                 (np.arange(200.0, 300.0, 7.5), np.arange(10.0, 90.0, 7.5))]
+    edge = 0
+    for xs, ys in grids:
+        inside = _assert_grid_hull_is_contains(lat, xs, ys)
+        edge += inside.any() and not inside.all()
+    assert edge >= 2
 
 
 # ======================================================================
@@ -950,3 +1030,58 @@ def test_sample_pixels_line_and_hex():
         sample_pixels(fld2, lat)
     with pytest.raises(TypeError):
         sample_pixels(fld, hexlat)
+
+
+@st.composite
+def _lattice_and_bump(draw):
+    """A lattice and a bump peaked inside its hull, on its edge, or on a
+    pixel with a wavelength of a whole number of pitches, which puts pixels
+    exactly l/2 from the peak along the enumeration axis; amplitudes include
+    0 and -0.0."""
+    kind = draw(st.sampled_from(["line", "square", "hexagonal"]))
+    pitch = draw(st.floats(0.5, 50.0))
+    if kind == "line":
+        x0 = draw(st.floats(-100.0, 100.0))
+        lat = make_lattice("line", pitch,
+                           (x0, x0 + pitch * draw(st.integers(1, 30))))
+    elif kind == "square":
+        x0, y0 = draw(st.floats(-100.0, 100.0)), draw(st.floats(-100.0, 100.0))
+        lat = make_lattice("square", pitch,
+                           ((x0, x0 + pitch * draw(st.integers(1, 20))),
+                            (y0, y0 + pitch * draw(st.integers(1, 20)))))
+    else:
+        lat = make_lattice("hexagonal", pitch,
+                           pitch * draw(st.integers(1, 12)))
+    where = draw(st.sampled_from(["inside", "edge", "pixel"]))
+    wavelength = pitch * draw(st.floats(0.5, 12.0))
+    if where == "pixel":
+        peak = np.atleast_1d(lat.positions[draw(st.integers(
+            0, lat.n_pixels - 1))])
+        wavelength = pitch * 2 * draw(st.integers(1, 6))
+    else:
+        u = np.array(draw(st.tuples(*(st.floats(0.0, 1.0),) * 3)))
+        if where == "edge" and kind == "hexagonal":
+            u[1] = 1.0                       # on the hull's edges
+        elif where == "edge":
+            u[draw(st.integers(0, lat.uniforms_per_point() - 1))] = \
+                draw(st.sampled_from([0.0, 1.0]))
+        peak = np.atleast_1d(lat.points_from_uniform(
+            u[None, :lat.uniforms_per_point()])[0])
+    amplitude = draw(st.sampled_from([0.0, -0.0, 1.0, 2.5, 1e-300]))
+    if kind == "line":
+        return lat, BumpField1D(float(peak[0]), amplitude, wavelength)
+    return lat, BumpField2D((float(peak[0]), float(peak[1])), amplitude,
+                            wavelength)
+
+
+@settings(deadline=None, max_examples=400)
+@given(_lattice_and_bump())
+def test_sample_pixels_equals_the_full_evaluation(case):
+    # only the pixel rows within l/2 of the peak are evaluated; every
+    # height, +0.0 and -0.0 included, is the full evaluation's byte for byte
+    lat, fld = case
+    if lat.kind == "line":
+        full = bump1d(lat.positions, fld)
+    else:
+        full = bump2d(lat.positions[:, 0], lat.positions[:, 1], fld)
+    assert sample_pixels(fld, lat).tobytes() == full.tobytes()
