@@ -4,8 +4,11 @@
 returned or the exception that it raised.  Up to (usable CPUs - 1) helper
 processes share the items with the calling process: every process takes the
 lowest unclaimed item from a counter in shared memory, so one slow item
-holds up no other.  Each item runs the same function on the same inputs
-wherever it runs, so the outcomes equal those of a serial run.
+holds up no other.  A helper sends one reply per call, with the outcomes of
+the items it took (none, if the caller took them all first), so the caller
+reads exactly one reply from each helper that it asked.  Each item runs the
+same function on the same inputs wherever it runs, so the outcomes equal
+those of a serial run.
 
 The helpers are forked on the first call with two or more items and then
 persist, because a fork and join per call costs more than a typical call
@@ -151,14 +154,12 @@ class _Pool:
             self.procs.append(proc)
 
     def map(self, fn, items: list) -> list:
-        from multiprocessing.connection import wait
-
         n = len(items)
         self.gen += 1
         request = pickle.dumps((self.gen, fn, items), pickle.HIGHEST_PROTOCOL)
         conns = self.conns[:n - 1]
-        outcomes = [None] * n
-        pending = set(range(n))
+        missing = object()
+        outcomes = [missing] * n
         try:
             with _held(self.lock):
                 self.state[0], self.state[1] = self.gen, 0
@@ -166,24 +167,20 @@ class _Pool:
                 conn.send_bytes(request)
             for i in _claims(self.lock, self.state, self.gen, n):
                 outcomes[i] = _outcome(fn, items[i])
-                pending.remove(i)
-            while pending:
-                for conn in wait(conns):
-                    i, blob = conn.recv()
+            for conn in conns:
+                for i, blob in conn.recv():
                     try:
                         outcomes[i] = pickle.loads(blob)
                     except Exception:
                         outcomes[i] = _outcome(fn, items[i])
-                    pending.remove(i)
         except (EOFError, OSError):
             # a helper died: run here whatever is left
             self.close()
         except BaseException:
             self.close()
             raise
-        for i in sorted(pending):
-            outcomes[i] = _outcome(fn, items[i])
-        return outcomes
+        return [_outcome(fn, items[i]) if out is missing else out
+                for i, out in enumerate(outcomes)]
 
     def close(self) -> None:
         """Stop the helpers; the next call forks new ones."""
@@ -199,17 +196,20 @@ class _Pool:
 
 
 def _serve(conn, lock, state) -> None:
-    """A helper: run its share of every request until the pipe closes."""
+    """A helper: until the pipe closes, answer each request with one list of
+    (item, its pickled outcome, or None to have the caller run it again)."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     try:
         while True:
             gen, fn, items = pickle.loads(conn.recv_bytes())
+            reply = []
             for i in _claims(lock, state, gen, len(items)):
-                out = _outcome(fn, items[i])
                 try:
-                    blob = pickle.dumps(out, pickle.HIGHEST_PROTOCOL)
+                    blob = pickle.dumps(_outcome(fn, items[i]),
+                                        pickle.HIGHEST_PROTOCOL)
                 except Exception:
-                    blob = None     # the caller runs this item again
-                conn.send((i, blob))
+                    blob = None
+                reply.append((i, blob))
+            conn.send(reply)
     except (EOFError, OSError):
         pass    # the caller closed its end or exited

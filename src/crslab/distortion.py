@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import math
+import time
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -143,16 +144,36 @@ def _field_for(lattice: Lattice, peak, amplitude: float, wavelength: float):
     return BumpField2D((float(peak[0]), float(peak[1])), amplitude, wavelength)
 
 
+# A pixel-only draw takes 0.2-0.6 ms (square and hexagonal lattices, d/l
+# 0.1-0.3), and a helper starts on its first item 0.2-0.4 ms after a pool
+# call begins, so sharing a short pixel-only estimate costs about what it
+# saves.  Such an estimate runs its draws here until they have taken one
+# heartbeat, several times that hand-off, and shares only the rest
+# (heartbeat scheduling), so that the hand-off stays a bounded fraction of
+# the work: 4-draw estimates rarely reach the pool, while 400-draw ones
+# still use every CPU.  Linear and CRS draws (5-45 ms) are shared from the
+# start.
+_HEARTBEAT_S = 1.5e-3
+
+
 def _map_draws(kernel, model, lattice: Lattice, draws: tuple,
                *args) -> list:
-    """[kernel(model, lattice, *draw, *args) for draw in zip(*draws)]: each
-    draw is one item of ``_pool.map_outcomes``, which sends ``draws`` once
-    per call, and its outcomes come back in draw order.  Every draw's result
-    depends on that draw alone, so the list equals a serial run's, and the
-    first failing draw's error is raised as a serial run raises it."""
-    outs = _pool.map_outcomes(
-        functools.partial(_run_draw, kernel, model, lattice, draws, args),
-        range(len(draws[0])))
+    """[kernel(model, lattice, *draw, *args) for draw in zip(*draws)].  A
+    pixel-only estimate runs its draws in this process, in draw order, for
+    one heartbeat; the rest, and every draw of the other models, are one
+    item each of one ``_pool.map_outcomes`` call, which sends ``draws`` once
+    and returns its outcomes in draw order.  Every draw's result depends on
+    that draw alone, so the list equals a serial run's, and the first
+    failing draw's error is raised as a serial run raises it."""
+    fn = functools.partial(_run_draw, kernel, model, lattice, draws, args)
+    n = len(draws[0])
+    outs = []
+    if model.variant == "pixel-only":
+        beat = time.perf_counter() + _HEARTBEAT_S
+        while len(outs) < n and time.perf_counter() < beat:
+            outs.append(fn(len(outs)))
+    if len(outs) < n:
+        outs += _pool.map_outcomes(fn, range(len(outs), n))
     for out in outs:
         if isinstance(out, Exception):
             raise out
@@ -255,13 +276,15 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     Simpson weights and their per-row running sums are built once per
     process, 0 beyond the disc).  The pixel-only error is summed over the
     runs of nodes that share a nearest pixel (``Lattice.grid_runs``), and
-    differs from a per-node sum by roundoff only.  The draws are
-    shared one by one with crslab's helper processes, as a build's beams
-    are (see README, Processes); the estimate equals that of a serial run
-    bit for bit.  Raises ValueError for a wavelength or amplitude that is
-    not finite and positive, an n_samples that is not an integer (bools
-    excluded) of at least 1, or a points_per_wavelength that is not an even
-    integer of at least 256.
+    differs from a per-node sum by roundoff only.  Linear and CRS draws
+    are shared one by one with crslab's helper processes, as a build's
+    beams are; pixel-only draws run in the calling process for one
+    heartbeat (1.5 ms), and only the rest are shared (see README,
+    Processes).  The estimate equals that of a serial run bit for bit.
+    Raises ValueError for a wavelength or amplitude that is not finite and
+    positive, an n_samples that is not an integer (bools excluded) of at
+    least 1, or a points_per_wavelength that is not an even integer of at
+    least 256.
     """
     _check_arguments(wavelength, amplitude, n_samples, region,
                      "nearest_capped")

@@ -1,7 +1,9 @@
 """Distortion metrics: peak location, Monte Carlo estimates against
 closed-form oracles, pairing, scaling, and sweep plumbing."""
 import dataclasses
+import itertools
 import math
+import types
 
 import numpy as np
 import pytest
@@ -247,10 +249,23 @@ def _serial(monkeypatch):
     monkeypatch.setattr(_pool, "_helpers", lambda n_items: None)
 
 
-def _has_helper() -> bool:
-    """Fork the helpers if this process may; whether one runs."""
-    _pool.map_outcomes(abs, [1, 2])
-    return _pool._POOL is not None and bool(_pool._POOL.procs)
+def _no_heartbeat(monkeypatch):
+    """Every draw of every model is a pool item, pixel-only ones too."""
+    monkeypatch.setattr(distortion, "_HEARTBEAT_S", 0.0)
+
+
+def _spy_on_pool_calls(monkeypatch) -> list:
+    """The item count of every later ``_pool.map_outcomes`` call."""
+    calls = []
+    map_outcomes = _pool.map_outcomes
+
+    def spy(fn, items):
+        items = list(items)
+        calls.append(len(items))
+        return map_outcomes(fn, items)
+
+    monkeypatch.setattr(_pool, "map_outcomes", spy)
+    return calls
 
 
 _SPLIT_LATTICES = {
@@ -275,10 +290,10 @@ _SPLIT_LATTICES = {
 ], ids=["Ds-line-pixel-only", "Ds-line-crs", "Ds-square-linear",
         "Ds-hexagonal-pixel-only", "Ds-hexagonal-crs", "Dp-line-crs",
         "Dp-hexagonal-crs", "Dp-sparse-crs-discard"])
-def test_draws_on_helpers_equal_a_serial_run(monkeypatch, estimator, kind,
-                                            model, n, policy, region):
-    if not _has_helper():
-        pytest.skip("no helper can run here")
+def test_draws_on_helpers_equal_a_serial_run(monkeypatch, helper_pool,
+                                            estimator, kind, model, n,
+                                            policy, region):
+    _no_heartbeat(monkeypatch)
     lat = _SPLIT_LATTICES[kind]
     kwargs = {"region": region}
     if policy is not None:
@@ -298,9 +313,9 @@ def test_draws_on_helpers_equal_a_serial_run(monkeypatch, estimator, kind,
     (distortion._crs_position_error, "line", CRS, "nearest_capped"),
     (distortion._crs_position_error, "sparse", CRS, "discard"),
 ], ids=["Ds-hexagonal-pixel-only", "Dp-line-crs", "Dp-sparse-crs-discard"])
-def test_draw_errors_come_back_in_row_order(kernel, kind, model, last):
-    if not _has_helper():
-        pytest.skip("no helper can run here")
+def test_draw_errors_come_back_in_row_order(monkeypatch, helper_pool,
+                                            kernel, kind, model, last):
+    _no_heartbeat(monkeypatch)
     lat = _SPLIT_LATTICES[kind]
     peaks = distortion._draw_peaks(lat, 90.0, 9, 8, "Dp", "full")
     draws = (peaks,)
@@ -315,23 +330,22 @@ def test_draw_errors_come_back_in_row_order(kernel, kind, model, last):
 
 
 def test_an_estimate_maps_one_item_per_draw(monkeypatch):
-    # every draw is its own pool item, whatever the number of CPUs
-    calls = []
-    map_outcomes = _pool.map_outcomes
-
-    def spy(fn, items):
-        items = list(items)
-        calls.append(len(items))
-        return map_outcomes(fn, items)
-
-    monkeypatch.setattr(_pool, "map_outcomes", spy)
+    # whatever the number of CPUs: with no heartbeat every draw of every
+    # model is its own pool item; with an endless one a pixel-only estimate
+    # runs every draw itself and makes no pool call, and the other models
+    # still share every draw
+    calls = _spy_on_pool_calls(monkeypatch)
     lat = _SPLIT_LATTICES["line"]
-    for estimator, model, n in [(shape_distortion, PIX, 7),
-                                (shape_distortion, CRS, 3),
-                                (position_distortion, CRS, 5)]:
-        calls.clear()
-        assert estimator(model, lat, 90.0, n, 21).n_samples == n
-        assert calls == [n]
+    for heartbeat in (0.0, math.inf):
+        monkeypatch.setattr(distortion, "_HEARTBEAT_S", heartbeat)
+        for estimator, model, n in [(shape_distortion, PIX, 7),
+                                    (shape_distortion, LIN, 4),
+                                    (shape_distortion, CRS, 3),
+                                    (position_distortion, CRS, 5)]:
+            calls.clear()
+            assert estimator(model, lat, 90.0, n, 21).n_samples == n
+            assert calls == ([] if model is PIX and heartbeat == math.inf
+                             else [n])
 
 
 class _FailingLattice(Lattice):
@@ -366,6 +380,41 @@ def test_a_failing_draw_raises_as_a_serial_run_does(monkeypatch, failing):
             shape_distortion(PIX, bad, 90.0, 8, 4, region="interior")
         errors.append((type(err.value), str(err.value)))
     assert errors[0] == errors[1] == (ValueError, f"draw {failing[0]} failed")
+
+
+@pytest.mark.parametrize("failing", [(), (1, 6), (2, 3), (4, 6)])
+def test_an_estimate_split_between_caller_and_pool_equals_a_serial_run(
+        monkeypatch, failing):
+    # a clock that moves by one second at every reading and a heartbeat of
+    # 3.5 s: the caller runs draws 0-2, and draws 3-7 are one pool call;
+    # the estimate, or the first failing draw's error, is a serial run's
+    monkeypatch.setattr(distortion, "time", types.SimpleNamespace(
+        perf_counter=itertools.count().__next__))
+    monkeypatch.setattr(distortion, "_HEARTBEAT_S", 3.5)
+    calls = _spy_on_pool_calls(monkeypatch)
+    lat = _SPLIT_LATTICES["square"]
+    peaks = distortion._draw_peaks(lat, 90.0, 8, 4, "Ds", "interior")
+    bad = _FailingLattice(**{f.name: getattr(lat, f.name)
+                             for f in dataclasses.fields(lat)})
+    object.__setattr__(bad, "failing", [(i, peaks[i]) for i in failing])
+    runs = []
+    for run in ("split", "serial"):
+        if run == "serial":
+            _serial(monkeypatch)
+        try:
+            runs.append(shape_distortion(PIX, bad, 90.0, 8, 4,
+                                         region="interior"))
+        except ValueError as err:
+            runs.append((type(err), str(err)))
+        if run == "split":
+            assert calls == ([] if failing and failing[0] < 3 else [5])
+    if failing:
+        assert runs[0] == runs[1] == (ValueError,
+                                      f"draw {failing[0]} failed")
+    else:
+        assert runs[0].value.hex() == runs[1].value.hex()
+        assert runs[0].standard_error.hex() == runs[1].standard_error.hex()
+        assert runs[0] == runs[1]
 
 
 def test_window_is_built_once_and_read_only():

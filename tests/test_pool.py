@@ -23,12 +23,6 @@ LATTICES = {"hexagonal": make_lattice("hexagonal", 30.0, 60.0),
             "square": make_lattice("square", 30.0, (90.0, 60.0))}
 
 
-def _has_helper() -> bool:
-    """Fork the helpers if this process may; whether one runs."""
-    _pool.map_outcomes(_square, [1, 2])
-    return _pool._POOL is not None and bool(_pool._POOL.procs)
-
-
 def _square(x):
     if x < 0:
         raise ValueError(f"negative: {x}")
@@ -62,10 +56,8 @@ def test_outcomes_come_back_in_item_order_with_their_exceptions():
     assert _pool.map_outcomes(_square, [2])[0] == (4, os.getpid())
 
 
-def test_a_helper_runs_a_nested_call_serially():
-    if not _has_helper():
-        pytest.skip("no helper can run here")
-    helpers = {p.pid for p in _pool._POOL.procs}
+def test_a_helper_runs_a_nested_call_serially(helper_pool):
+    helpers = {p.pid for p in helper_pool.procs}
     for _ in range(5):
         outs = _pool.map_outcomes(_nested, list(range(8)))
         for x, (inner, pid) in enumerate(outs):
@@ -78,6 +70,56 @@ def test_a_helper_runs_a_nested_call_serially():
     # the parent's pipes still carry only its own replies
     assert [o[0] for o in _pool.map_outcomes(_square, range(6))] \
         == [x * x for x in range(6)]
+
+
+def _unpicklable_at_3(x):
+    """(x * x, pid), but for item 3 a function, which does not pickle; it
+    returns the pid of the process that made it."""
+    pid = os.getpid()
+    if x == 3:
+        return lambda: pid
+    return x * x, pid
+
+
+def test_an_outcome_that_does_not_pickle_is_run_again_by_the_caller(
+        monkeypatch, helper_pool):
+    # the caller claims no item, so the helpers run them all, and a
+    # helper's one reply holds pickled outcomes next to None for item 3
+    monkeypatch.setattr(_pool, "_claims", lambda *args: iter(()))
+    helpers = {p.pid for p in helper_pool.procs}
+    out = _pool.map_outcomes(_unpicklable_at_3, range(6))
+    for x, o in enumerate(out):
+        if x == 3:
+            assert o() == os.getpid()
+        else:
+            assert o[0] == x * x and o[1] in helpers
+    assert _pool._POOL is helper_pool
+
+
+def _square_nap_at_tens(x):
+    if x % 10 == 0:
+        time.sleep(0.002)   # a helper wakes and takes the call's other item
+    return _square(x)
+
+
+def test_every_call_gets_its_own_outcomes(helper_pool):
+    # two items per call: the caller claims both before a helper wakes,
+    # except in the calls that nap, where a helper takes one; a helper
+    # answers every call that it was asked, with an empty reply when it
+    # took nothing, and the call reads that reply before it returns
+    pid = os.getpid()
+    took_all = by_helper = 0
+    for k in range(300):
+        items = [2 * k, 2 * k + 1]
+        out = _pool.map_outcomes(_square_nap_at_tens, items)
+        assert [o[0] for o in out] == [x * x for x in items]
+        took_all += all(o[1] == pid for o in out)
+        by_helper += any(o[1] != pid for o in out)
+    assert took_all > 0 and by_helper > 0
+    items = list(range(1000, 1010))
+    assert [o[0] for o in _pool.map_outcomes(_square, items)] \
+        == [x * x for x in items]
+    assert _pool._POOL is helper_pool
 
 
 def test_convergence_error_outcomes_survive_the_pipe():
@@ -194,9 +236,8 @@ def test_strict_build_raises_the_first_failing_beam_after_all_solves(
     assert info.value.solution.nodes.tobytes() == first.nodes.tobytes()
 
 
-def test_interrupt_in_the_callers_share_leaves_no_stale_reply(monkeypatch):
-    if not _has_helper():
-        pytest.skip("no helper can run here")
+def test_interrupt_in_the_callers_share_leaves_no_stale_reply(monkeypatch,
+                                                              helper_pool):
     lat, fld = LATTICES["hexagonal"], BumpField2D((7.0, -4.0), 2.0, 90.0)
     solve = reconstruct.solve_elastica_1d
 
@@ -265,23 +306,21 @@ def _left_running(pids, seconds: float) -> list:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
-def test_helpers_exit_with_their_parent():
+def test_helpers_exit_with_their_parent(helper_pool):
     proc = _child("once")
     out, _ = proc.communicate(timeout=60)
     assert proc.returncode == 0
     pids = [int(p) for p in out.split()]
-    if not pids:
-        pytest.skip("no helper can run here")
+    assert pids
     assert _left_running(pids, 5.0) == []
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
-def test_helpers_exit_when_their_parent_is_killed_mid_build():
+def test_helpers_exit_when_their_parent_is_killed_mid_build(helper_pool):
     proc = _child("forever")
     try:
         pids = [int(p) for p in proc.stdout.readline().split()]
-        if not pids:
-            pytest.skip("no helper can run here")
+        assert pids
         time.sleep(0.3)     # builds are running
         assert proc.poll() is None
         proc.send_signal(signal.SIGKILL)
@@ -301,7 +340,7 @@ def test_helpers_exit_when_their_parent_is_killed_mid_build():
 
 _SCIPY_LATE = textwrap.dedent("""
     import hashlib, json, sys
-    from crslab import _pool
+    from crslab import _pool, distortion
     from crslab.distortion import position_distortion, shape_distortion
     from crslab.fields import BumpField2D, make_lattice
     from crslab.reconstruct import CrsSurface2D, ReconstructionModel
@@ -309,7 +348,8 @@ _SCIPY_LATE = textwrap.dedent("""
         _pool._helpers = lambda n_items: None
     lat = make_lattice("hexagonal", 30.0, 60.0)
     # pixel-only draws fork the helpers, and neither they nor this process
-    # have loaded SciPy yet
+    # have loaded SciPy yet; with no heartbeat, every draw is a pool item
+    distortion._HEARTBEAT_S = 0.0
     pix = shape_distortion(ReconstructionModel("pixel-only"), lat, 90.0, 7, 3)
     pool = _pool._POOL
     pids = [p.pid for p in pool.procs] if pool else []
@@ -334,11 +374,9 @@ def _scipy_late(mode) -> dict:
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc"), reason="reads /proc")
-@pytest.mark.skipif(_pool._usable_cpus() < 2, reason="needs 2 usable CPUs")
-def test_helpers_forked_before_scipy_loads_equal_a_serial_run():
+def test_helpers_forked_before_scipy_loads_equal_a_serial_run(helper_pool):
     shared = _scipy_late("shared")
-    if not shared["pids"]:
-        pytest.skip("no helper can run here")
+    assert shared["pids"]
     assert _left_running(shared["pids"], 5.0) == []
     assert shared["scipy_at_fork"] is False
     serial = _scipy_late("serial")
