@@ -359,8 +359,7 @@ def run_session(trace: Sequence[FingertipSample],
                                         commands.tolist(), state.tolist()))
             next_log = t + config.log_every_ms
 
-        if (config.track_peaks and active is not None
-                and active.actuation_ms is None and t >= next_probe):
+        if config.track_peaks and active is not None and t >= next_probe:
             next_probe = t + config.probe_every_ms
             heights = state[:lat.n_pixels]
             comp = state[lat.n_pixels:].reshape(-1, 2).sum(axis=1)

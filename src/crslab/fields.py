@@ -353,36 +353,30 @@ class Lattice:
     # ---------------- nearest pixel ----------------
 
     def nearest_index(self, points: Array) -> Array:
-        """Index of the nearest pixel for each query point, in closed form:
-        a binary search over the cell midpoints (line), the fractional grid
-        coordinates rounded and clamped per axis (square), or the
-        fractional axial coordinates projected onto the hull hexagon and
-        rounded to the nearest corner of their unit rhombus (hexagonal).
-        Points outside the hull get their nearest pixel too: the hull's
-        edges are full pixel rows and its corners are pixels, so clamping
-        or projecting keeps the answer.
+        """Index of the nearest pixel for each query point, read off the
+        cell that holds it.  Line and square lattices take, per axis, the
+        nearer end of the point's ``_locate_axis`` cell.  A hexagonal
+        lattice projects the point onto the hull hexagon and takes the
+        heaviest vertex of its unit triangle (``triangles``): in an
+        equilateral triangle the edge bisectors are the medians.  Points
+        outside the hull get their nearest pixel too: the hull's edges are
+        full pixel rows and its corners are pixels, so clamping or
+        projecting keeps the answer.
 
-        Exact ties go to the lower-indexed pixel: square lattices round
-        halves down per axis, hexagonal ones break ties as an infinitesimal
-        step towards -y, then -x, would.  Ties are judged in the fractional
-        lattice coordinates, so a point within roundoff of a cell boundary
-        may land on either side of it.  ``grid_runs`` gives the same
-        pixels over a tensor grid of points, as runs along its rows.
+        Exact ties go to the lower-indexed pixel.  They are judged in the
+        fractional lattice coordinates, so a point within roundoff of a
+        cell boundary may land on either side of it.  ``grid_runs`` gives
+        the same pixels over a tensor grid of points, as runs along its
+        rows.
         """
         if self.kind == "line":
-            p = np.atleast_1d(np.asarray(points, dtype=float))
-            mids = 0.5 * (self.positions[1:] + self.positions[:-1])
-            # side='left' sends a query exactly on a cell boundary to the
-            # lower-indexed pixel.
-            return np.searchsorted(mids, p, side="left")
+            return self._axis_pixel(np.atleast_1d(np.asarray(points, dtype=float)))
         p = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "square":
-            ix, iy = self._square_cells(p[:, 0], p[:, 1])
-            return iy * self.grid_shape[0] + ix
-        q, r = _hex_round(*self._onto_hull_axial(*self.fractional_axial(p)))
-        # a point in the hull rounds to a pixel, so no site needs a mask
-        k = self._rings
-        return self._axial_table.take((q + k) * (2 * k + 1) + r + k)
+            return (self._axis_pixel(p[:, 1], 1) * self.grid_shape[0]
+                    + self._axis_pixel(p[:, 0]))
+        return _heaviest_vertex(*self._axial_triangles(
+            *self._onto_hull_axial(*self.fractional_axial(p))))
 
     def grid_runs(self, xs: Array, ys: Optional[Array] = None
                   ) -> Tuple[Array, Array, Array, Array]:
@@ -396,10 +390,10 @@ class Lattice:
         gets exactly the pixel that ``nearest_index`` gives it; a node
         outside the hull gets some pixel.
 
-        Line: the cuts are where xs passes the cell midpoints, found as
-        ``nearest_index`` finds them.  Square rounding is separable: the
-        runs of equal grid column, (1, K), are shared by the rows, (R, 1),
-        and each row reads its own pixel row.  Along a grid row of a
+        Line and square: the nearest pixel is separable, one pixel per axis
+        as ``nearest_index`` reads it.  The runs of equal pixel column,
+        (1, K), are shared by the rows, (R, 1), and each row reads its own
+        pixel row; a line's one row reads row 0.  Along a grid row of a
         hexagonal lattice, between pixel rows r0 and r0 + 1 at fractional
         position v, the nearest pixel is piecewise constant.  In pitch
         units, with pixel (n, r0) at s = n and (n, r0 + 1) at s = n + 1/2,
@@ -414,22 +408,19 @@ class Lattice:
         there.
         """
         xs = np.asarray(xs, dtype=float)
-        if self.kind == "line":
-            mids = 0.5 * (self.positions[1:] + self.positions[:-1])
-            p0, p1 = np.searchsorted(mids, xs[[0, -1]], side="left")
-            cuts = np.searchsorted(xs, mids[p0:p1], side="right")
-            return (np.zeros(1, dtype=np.int64), np.concatenate(([0], cuts)),
-                    np.concatenate((cuts, [xs.size])), np.arange(p0, p1 + 1))
-        if ys is None:
+        if self.kind != "line" and ys is None:
             raise ValueError(f"a {self.kind} lattice is planar and needs ys")
-        ys = np.asarray(ys, dtype=float)
-        if self.kind == "square":
-            ix, iy = self._square_cells(xs, ys)
+        if self.kind != "hexagonal":
+            ix = self._axis_pixel(xs)
+            base = (self._axis_pixel(np.asarray(ys, dtype=float), 1)
+                    * self.grid_shape[0] if self.kind == "square"
+                    else np.zeros(1, dtype=np.int64))
             cuts = np.flatnonzero(ix[1:] != ix[:-1]) + 1
             first = np.concatenate(([0], cuts))
-            return (np.arange(ys.size)[:, None], first[None],
+            return (np.arange(base.size)[:, None], first[None],
                     np.concatenate((cuts, [xs.size]))[None],
-                    iy[:, None] * self.grid_shape[0] + ix[first])
+                    base[:, None] + ix[first])
+        ys = np.asarray(ys, dtype=float)
         ox, oy = self.origin2d
         t = (xs - ox) / self.pitch                 # as in fractional_axial
         rf = (ys - oy) / (_SQRT3 / 2.0 * self.pitch)
@@ -522,17 +513,6 @@ class Lattice:
         lo = ends[:, 0].max(axis=0)
         return lo, np.maximum(ends[:, 1].min(axis=0), lo)
 
-    def _square_cells(self, x: Array, y: Array) -> Tuple[Array, Array]:
-        """Grid column of the nearest pixel for each x and grid row for each
-        y: rounded half down and clamped, per axis."""
-        nx, ny = self.grid_shape
-        ox, oy = self.origin2d
-        ix = np.minimum(np.maximum(_round_half_down((x - ox) / self.pitch), 0),
-                        nx - 1)
-        iy = np.minimum(np.maximum(_round_half_down((y - oy) / self.pitch), 0),
-                        ny - 1)
-        return ix.astype(np.int64), iy.astype(np.int64)
-
     def nearest_distance(self, points: Array) -> Array:
         idx = self.nearest_index(points)
         if self.kind == "line":
@@ -546,6 +526,8 @@ class Lattice:
     def fractional_axial(self, points: Array) -> Tuple[Array, Array]:
         """Fractional axial coordinates (q, r) of (n, 2) points: a point
         sits at origin + pitch * (q + r/2, (sqrt(3)/2) r)."""
+        if self.ndim == 1:
+            raise ValueError("axial coordinates and cells need a 2D lattice")
         ox, oy = self.origin2d
         rf = (points[:, 1] - oy) / (_SQRT3 / 2.0 * self.pitch)
         qf = (points[:, 0] - ox) / self.pitch - 0.5 * rf
@@ -589,30 +571,37 @@ class Lattice:
         (n, 2) point: its vertex pixels and the point's barycentric weights,
         both (3, n), row j for vertex j.  Square cells split along the
         diagonal from the lower-left to the upper-right pixel; hexagonal
-        lattices split into upward and downward unit triangles.  A missing
-        vertex, which only a point outside the hull (or on its edge within
-        roundoff) can have, gets index -1 and weight 0."""
+        lattices split into upward and downward unit triangles, whose
+        heaviest vertex is the nearest pixel that ``nearest_index`` reads.
+        A missing vertex, which only a point outside the hull (or on its
+        edge within roundoff) can have, gets index -1 and weight 0."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
-        if self.kind == "square":
-            ix, iy, u, v = self._locate_square(p)
-            idx = np.empty((3, p.shape[0]), dtype=np.int64)
-            w = np.empty((3, p.shape[0]))
-            nx = self.grid_shape[0]
-            # the lower triangle (00, 10, 11) where u >= v, else (flip) the
-            # upper (00, 11, 01)
-            flip = u < v
-            idx[0] = iy * nx + ix
-            idx[1] = np.where(flip, idx[0] + (nx + 1), idx[0] + 1)
-            idx[2] = np.where(flip, idx[0] + nx, idx[0] + (nx + 1))
-            w[0] = np.where(flip, 1.0 - v, 1.0 - u)
-            w[1] = np.where(flip, u, u - v)
-            w[2] = np.where(flip, v - u, v)
-            return idx, w
-        qf, rf, qi, ri, up = self._locate_hex(p)
-        u = qf - qi
-        v = rf - ri
+        if self.kind != "square":
+            return self._axial_triangles(*self.fractional_axial(p))
+        ix, u = self._locate_axis(p[:, 0])
+        iy, v = self._locate_axis(p[:, 1], 1)
         idx = np.empty((3, p.shape[0]), dtype=np.int64)
         w = np.empty((3, p.shape[0]))
+        nx = self.grid_shape[0]
+        # the lower triangle (00, 10, 11) where u >= v, else (flip) the
+        # upper (00, 11, 01)
+        flip = u < v
+        idx[0] = iy * nx + ix
+        idx[1] = np.where(flip, idx[0] + (nx + 1), idx[0] + 1)
+        idx[2] = np.where(flip, idx[0] + nx, idx[0] + (nx + 1))
+        w[0] = np.where(flip, 1.0 - v, 1.0 - u)
+        w[1] = np.where(flip, u, u - v)
+        w[2] = np.where(flip, v - u, v)
+        return idx, w
+
+    def _axial_triangles(self, qf: Array, rf: Array) -> Tuple[Array, Array]:
+        """``triangles`` of a hexagonal lattice, for points given by their
+        fractional axial coordinates (qf, rf)."""
+        qi, ri, up = self._locate_hex(qf, rf)
+        u = qf - qi
+        v = rf - ri
+        idx = np.empty((3, qf.size), dtype=np.int64)
+        w = np.empty((3, qf.size))
         # the upward triangle (q, r), (q+1, r), (q, r+1), else (flip) the
         # downward (q+1, r+1), (q, r+1), (q+1, r)
         flip = ~up
@@ -635,7 +624,8 @@ class Lattice:
         hexagonal unit triangles (one line of each family)."""
         p = np.atleast_2d(np.asarray(points, dtype=float))
         if self.kind == "square":
-            ix, iy, _, _ = self._locate_square(p)
+            ix, _ = self._locate_axis(p[:, 0])
+            iy, _ = self._locate_axis(p[:, 1], 1)
             ids = np.column_stack([self.beam_index(0, iy), self.beam_index(0, iy + 1),
                                    self.beam_index(1, ix), self.beam_index(1, ix + 1)])
             # plain coordinate offsets from the cell's corners
@@ -645,7 +635,8 @@ class Lattice:
         # the upward triangle's lines: r = ri (family 0), q = qi (family 1),
         # q + r = qi + ri + 1 (family 2); the downward triangle's first two
         # are r = ri + 1 and q = qi + 1
-        qf, rf, qi, ri, up = self._locate_hex(p)
+        qf, rf = self.fractional_axial(p)
+        qi, ri, up = self._locate_hex(qf, rf)
         key0 = np.where(up, ri, ri + 1)
         key1 = np.where(up, qi, qi + 1)
         key2 = qi + ri + 1
@@ -658,30 +649,33 @@ class Lattice:
                                      np.abs(qf - key1) * row,
                                      np.abs((qf + rf) - key2) * row])
 
-    def _locate_square(self, p: Array) -> Tuple[Array, Array, Array, Array]:
-        """Square cell of each (n, 2) point: the cell's lower-left grid index
-        (ix, iy) and the point's offset (u, v) from that pixel in pitches,
-        with points beyond the grid clamped onto its edge."""
-        nx, ny = self.grid_shape
-        ox, oy = self.origin2d
-        fx = np.clip((p[:, 0] - ox) / self.pitch, 0.0, nx - 1.0)
-        fy = np.clip((p[:, 1] - oy) / self.pitch, 0.0, ny - 1.0)
-        ix = np.minimum(np.floor(fx).astype(np.int64), nx - 2)
-        iy = np.minimum(np.floor(fy).astype(np.int64), ny - 2)
-        return ix, iy, fx - ix, fy - iy
+    def _locate_axis(self, x: Array, axis: int = 0) -> Tuple[Array, Array]:
+        """Cell of each coordinate x along an axis of a line or square
+        lattice (axis 1: a square grid's y): the index i of the cell's lower
+        pixel, at most n - 2, and the offset u of x from pixel i in
+        pitches, with x beyond the end pixels clamped onto them."""
+        if self.kind == "line":
+            origin, n = self.positions[0], self.n_pixels
+        else:
+            origin, n = self.origin2d[axis], self.grid_shape[axis]
+        f = np.minimum(np.maximum((x - origin) / self.pitch, 0.0), n - 1.0)
+        i = np.minimum(np.floor(f).astype(np.int64), n - 2)
+        return i, f - i
 
-    def _locate_hex(self, p: Array) -> Tuple[Array, Array, Array, Array, Array]:
-        """Unit triangle of each (n, 2) point: fractional axial coordinates
-        (qf, rf), the axial cell (qi, ri) below them, and whether the point
-        is in the upward triangle, (qf - qi) + (rf - ri) <= 1, which holds
-        the edge that the two triangles share."""
-        if self.kind != "hexagonal":
-            raise ValueError("cells need a 2D lattice")
-        qf, rf = self.fractional_axial(p)
+    def _axis_pixel(self, x: Array, axis: int = 0) -> Array:
+        """Nearest pixel along the axis: the nearer end of the cell, on a
+        tie the lower."""
+        i, u = self._locate_axis(x, axis)
+        return i + (u > 0.5)
+
+    def _locate_hex(self, qf: Array, rf: Array) -> Tuple[Array, Array, Array]:
+        """Unit triangle of each point at fractional axial coordinates
+        (qf, rf): the axial cell (qi, ri) below it, and whether it is in
+        the upward triangle, (qf - qi) + (rf - ri) <= 1, which holds the
+        edge that the two triangles share."""
         qi = np.floor(qf).astype(np.int64)
         ri = np.floor(rf).astype(np.int64)
-        up = ((qf - qi) + (rf - ri)) <= 1.0
-        return qf, rf, qi, ri, up
+        return qi, ri, ((qf - qi) + (rf - ri)) <= 1.0
 
     @cached_property
     def _rings(self) -> int:
@@ -832,31 +826,11 @@ def _settle(i: Array, holds, n: int) -> Array:
         i = i - down + up
 
 
-def _round_half_down(x: Array) -> Array:
-    c = np.ceil(x)
-    return c - (c - x >= 0.5)
-
-
-def _hex_round(qf: Array, rf: Array) -> Tuple[Array, Array]:
-    """Nearest integer axial coordinates (Conway and Sloane's nearest point
-    of the A2 lattice): the nearest corner of the unit rhombus that holds
-    (qf, rf).  With (u, v) the point's offset from the rhombus corner
-    (0, 0), A = 2u + v and B = 2v + u, corner (1, 0) beats (0, 0) when
-    A > 1, (0, 1) beats (0, 0) when B > 1, (1, 1) beats (0, 1) when A > 2
-    and (1, 0) when B > 2, and (1, 0) beats (0, 1) when u > v.  Exact
-    ties go to the lowest (r, q), i.e. the lowest (y, x): every test on A
-    and B is strict, and u = v goes to (1, 0).
-    """
-    q = np.floor(qf)
-    r = np.floor(rf)
-    u = qf - q
-    v = rf - r
-    a = 2.0 * u + v
-    b = 2.0 * v + u
-    q_first = u >= v
-    q += (a > 1.0) & (q_first | (a > 2.0))
-    r += (b > 1.0) & (~q_first | (b > 2.0))
-    return q.astype(np.int64), r.astype(np.int64)
+def _heaviest_vertex(idx: Array, w: Array) -> Array:
+    """The vertex of greatest weight in each column of a ``triangles``
+    result, the lowest pixel index among equal weights."""
+    return np.where(w == w.max(axis=0), idx,
+                    np.iinfo(np.int64).max).min(axis=0)
 
 
 def make_lattice(kind: str, pitch: float, extents) -> Lattice:

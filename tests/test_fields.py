@@ -14,7 +14,7 @@ from crslab.fields import (
     BumpField2D,
     bump1d,
     bump2d,
-    _hex_round,
+    _heaviest_vertex,
     make_lattice,
     sample_pixels,
 )
@@ -397,7 +397,8 @@ def test_nearest_index_line_ties_to_lower():
 def _brute_nearest(lat, pts):
     """Brute-force nearest pixel (argmin takes the first = lowest index)
     and every pixel distance."""
-    d = np.sqrt(np.sum((lat.positions[None, :, :] - pts[:, None, :]) ** 2,
+    pos = lat.positions.reshape(lat.n_pixels, -1)
+    d = np.sqrt(np.sum((pos[None] - pts.reshape(len(pts), 1, -1)) ** 2,
                        axis=2))
     return np.argmin(d, axis=1), d
 
@@ -493,7 +494,8 @@ def test_hex_rounding_ties_exact_in_axial_coordinates():
         lat = make_lattice("hexagonal", 30.0, 30.0 * k)
         g = np.arange(-8 * (k + 2), 8 * (k + 2) + 1)
         q8, r8 = (a.ravel() for a in np.meshgrid(g, g))
-        got = lat.axial_index(*_hex_round(*lat._onto_hull_axial(q8 / 8.0, r8 / 8.0)))
+        got = _heaviest_vertex(*lat._axial_triangles(
+            *lat._onto_hull_axial(q8 / 8.0, r8 / 8.0)))
         dq = q8[:, None] - 8 * lat.axial[None, :, 0]
         dr = r8[:, None] - 8 * lat.axial[None, :, 1]
         key = (dq * dq + dq * dr + dr * dr) * (64 * k * k) \
@@ -503,7 +505,7 @@ def test_hex_rounding_ties_exact_in_axial_coordinates():
 
 def _cube_round_reference(qf, rf):
     """Nearest integer axial coordinates by cube rounding, as
-    `Lattice.nearest_index` computed them before the rhombus-corner rule:
+    `Lattice.nearest_index` once computed them:
     round q, r and s = -q - r (q and s halves up, r halves down), and if
     the three do not sum to zero, step back the one rounding moved
     furthest, preferring r, q, s when stepping down and s, q, r when
@@ -532,15 +534,17 @@ def _cube_round_reference(qf, rf):
 
 def test_hex_rounding_matches_cube_rounding_on_axial_grid():
     # a 1/64 grid in axial coordinates, in and beyond the hull, where every
-    # coordinate and every difference of them is exact in floating point
+    # coordinate and every difference of them is exact in floating point;
+    # the points beyond the hull are projected onto it first
     for k in (1, 2, 4):
         lat = make_lattice("hexagonal", 30.0, 30.0 * k)
         g = np.arange(-64 * (k + 2), 64 * (k + 2) + 1) / 64.0
         qf, rf = (a.ravel() for a in np.meshgrid(g, g))
-        for q, r in ((qf, rf), lat._onto_hull_axial(qf, rf)):
-            got_q, got_r = _hex_round(q, r)
-            want_q, want_r = _cube_round_reference(q, r)
-            assert np.array_equal(got_q, want_q) and np.array_equal(got_r, want_r)
+        inside = np.abs(qf) + np.abs(rf) + np.abs(qf + rf) <= 2 * k
+        for q, r in ((qf[inside], rf[inside]), lat._onto_hull_axial(qf, rf)):
+            got = _heaviest_vertex(*lat._axial_triangles(q, r))
+            want = lat.axial_index(*_cube_round_reference(q, r))
+            assert (want >= 0).all() and np.array_equal(got, want)
 
 
 @st.composite
@@ -650,7 +654,7 @@ def test_hex_hull_projection_is_the_nearest_hull_point(case):
     tol = 1e-9 * k
     assert np.allclose(got_q, want_q, rtol=0.0, atol=tol)
     assert np.allclose(got_r, want_r, rtol=0.0, atol=tol)
-    want = lat.axial_index(*_hex_round(got_q, got_r))
+    want = _heaviest_vertex(*lat._axial_triangles(got_q, got_r))
     assert lat.nearest_index(pts).tobytes() == want.tobytes()
 
 
@@ -749,12 +753,16 @@ def test_grid_runs_give_nearest_index_in_the_hull(case):
     _assert_runs_read_nearest_index(*case)
 
 
-@pytest.mark.parametrize("kind", ["square", "hexagonal"])
+@pytest.mark.parametrize("kind", ["line", "square", "hexagonal"])
 def test_grid_runs_on_cell_edges(kind):
     # a grid whose nodes sit on cell edges and corners, to roundoff: many
     # nodes are tied between pixels, and each must still read the pixel
     # nearest_index gives it
-    if kind == "square":
+    if kind == "line":
+        # nodes on every pixel and cell midpoint of a 121-pixel line
+        lat = make_lattice("line", 30.0, 3600.0)
+        xs, ys = np.arange(-3, 964) * 3.75, None
+    elif kind == "square":
         lat = make_lattice("square", 30.0, ((0.0, 150.0), (0.0, 120.0)))
         xs, ys = np.arange(-3, 44) * 3.75, np.arange(-3, 36) * 3.75
     else:
