@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import functools
 import math
-import time
 from dataclasses import dataclass
 from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -30,7 +29,7 @@ import numpy as np
 
 from . import _pool
 from .fields import (BumpField1D, BumpField2D, Lattice, _raised_cosine,
-                     make_lattice)
+                     _segments, make_lattice)
 from .reconstruct import ReconstructionModel, build_profile
 from .rng import uniform_block
 
@@ -144,36 +143,17 @@ def _field_for(lattice: Lattice, peak, amplitude: float, wavelength: float):
     return BumpField2D((float(peak[0]), float(peak[1])), amplitude, wavelength)
 
 
-# A pixel-only draw takes 0.2-0.6 ms (square and hexagonal lattices, d/l
-# 0.1-0.3), and a helper starts on its first item 0.2-0.4 ms after a pool
-# call begins, so sharing a short pixel-only estimate costs about what it
-# saves.  Such an estimate runs its draws here until they have taken one
-# heartbeat, several times that hand-off, and shares only the rest
-# (heartbeat scheduling), so that the hand-off stays a bounded fraction of
-# the work: 4-draw estimates rarely reach the pool, while 400-draw ones
-# still use every CPU.  Linear and CRS draws (5-45 ms) are shared from the
-# start.
-_HEARTBEAT_S = 1.5e-3
-
-
 def _map_draws(kernel, model, lattice: Lattice, draws: tuple,
                *args) -> list:
-    """[kernel(model, lattice, *draw, *args) for draw in zip(*draws)].  A
-    pixel-only estimate runs its draws in this process, in draw order, for
-    one heartbeat; the rest, and every draw of the other models, are one
-    item each of one ``_pool.map_outcomes`` call, which sends ``draws`` once
-    and returns its outcomes in draw order.  Every draw's result depends on
-    that draw alone, so the list equals a serial run's, and the first
-    failing draw's error is raised as a serial run raises it."""
-    fn = functools.partial(_run_draw, kernel, model, lattice, draws, args)
-    n = len(draws[0])
-    outs = []
-    if model.variant == "pixel-only":
-        beat = time.perf_counter() + _HEARTBEAT_S
-        while len(outs) < n and time.perf_counter() < beat:
-            outs.append(fn(len(outs)))
-    if len(outs) < n:
-        outs += _pool.map_outcomes(fn, range(len(outs), n))
+    """[kernel(model, lattice, *draw, *args) for draw in zip(*draws)], as
+    one item a draw of one ``_pool.map_outcomes`` call, which sends
+    ``draws`` once and returns its outcomes in draw order.  Every draw's
+    result depends on that draw alone, so the list equals a serial run's,
+    and the first failing draw's error is raised as a serial run raises
+    it."""
+    outs = _pool.map_outcomes(
+        functools.partial(_run_draw, kernel, model, lattice, draws, args),
+        range(len(draws[0])))
     for out in outs:
         if isinstance(out, Exception):
             raise out
@@ -273,18 +253,16 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
     points_per_wavelength subintervals per wavelength; in 2D it is the
     disc of diameter l, integrated by the product Simpson rule over the
     nodes of the square grid of that spacing that lie in the disc (its
-    Simpson weights and their per-row running sums are built once per
-    process, 0 beyond the disc).  The pixel-only error is summed over the
-    runs of nodes that share a nearest pixel (``Lattice.grid_runs``), and
-    differs from a per-node sum by roundoff only.  Linear and CRS draws
-    are shared one by one with crslab's helper processes, as a build's
-    beams are; pixel-only draws run in the calling process for one
-    heartbeat (1.5 ms), and only the rest are shared (see README,
-    Processes).  The estimate equals that of a serial run bit for bit.
-    Raises ValueError for a wavelength or amplitude that is not finite and
-    positive, an n_samples that is not an integer (bools excluded) of at
-    least 1, or a points_per_wavelength that is not an even integer of at
-    least 256.
+    Simpson weights and their running sums are built once per process, 0
+    beyond the disc).  Pixel-only errors are computed for all draws at once
+    in this process (``_pixel_shape_errors``), summed over the runs of
+    ``Lattice.grid_runs``, and differ from a per-node sum by roundoff only.
+    Linear and CRS draws are shared one by one with crslab's helper
+    processes, as a build's beams are (see README, Processes).  The
+    estimate equals that of a serial run bit for bit.  Raises ValueError
+    for a wavelength or amplitude that is not finite and positive, an
+    n_samples that is not an integer (bools excluded) of at least 1, or a
+    points_per_wavelength that is not an even integer of at least 256.
     """
     _check_arguments(wavelength, amplitude, n_samples, region,
                      "nearest_capped")
@@ -292,9 +270,13 @@ def shape_distortion(model: ReconstructionModel, lattice: Lattice,
             or points_per_wavelength % 2):
         raise ValueError("need an even points_per_wavelength >= 256")
     peaks = _draw_peaks(lattice, wavelength, n_samples, seed, "Ds", region)
-    vals = _map_draws(_shape_error, model, lattice,
-                      (peaks, _whole_windows(lattice, peaks, wavelength)),
-                      wavelength, amplitude, points_per_wavelength)
+    whole = _whole_windows(lattice, peaks, wavelength)
+    if model.variant == "pixel-only":
+        vals = _pixel_shape_errors(lattice, peaks, whole, wavelength,
+                                   amplitude, points_per_wavelength)
+    else:
+        vals = _map_draws(_shape_error, model, lattice, (peaks, whole),
+                          wavelength, amplitude, points_per_wavelength)
     return _estimate_from_errors(vals, "Ds", lattice, wavelength,
                                  model.variant, seed, region)
 
@@ -315,10 +297,12 @@ class _Window(NamedTuple):
     rel: np.ndarray       # the m grid coordinates along each axis
     offsets: np.ndarray   # the win nodes' offsets from the centre, (n,) or (n, 2)
     phi: np.ndarray       # the ideal shape over the segment or grid
-    # sums over the first i nodes of each row, at [row * (m + 1) + i], of
-    # (w, w phi) and of w phi^2: a run's sums are differences of two entries
-    sums: np.ndarray      # (rows * (m + 1), 2)
-    sum_wphi2: np.ndarray
+    # the sums of w, w phi and w phi^2 over the nodes in rows < r and
+    # columns < i, at [r * (m + 1) + i] for r = 0 .. rows (a segment is one
+    # row): a block of rows and columns sums to four entries of each.  The
+    # w and w phi sums are one complex number, so that one take reads both
+    table: np.ndarray     # ((rows + 1) * (m + 1),), sum w + 1j sum w phi
+    wphi2: np.ndarray     # ((rows + 1) * (m + 1),), sum w phi^2
     den: float            # sum of phi^2 w
 
 
@@ -346,54 +330,140 @@ def _window(ndim: int, wl: float, amplitude: float, ppw: int) -> _Window:
                                                    rel[win // m]]).T
     phi = np.zeros(rr.size)
     phi[win] = _raised_cosine(rr[win], amplitude, wl)
-    sums = np.zeros((w.size // m, m + 1, 2))
-    sum_wphi2 = np.zeros((w.size // m, m + 1))
-    for out, terms in ((sums[..., 0], w), (sums[..., 1], w * phi),
-                       (sum_wphi2, w * phi * phi)):
-        np.cumsum(terms.reshape(-1, m), axis=1, out=out[:, 1:])
-    window = _Window(w, win, rel, offsets, phi, sums.reshape(-1, 2),
-                     sum_wphi2.ravel(), float(phi ** 2 @ w))
+    table = np.zeros((w.size // m + 1, m + 1), dtype=complex)
+    wphi2 = np.zeros(table.shape)
+    for out, terms in ((table.real, w), (table.imag, w * phi),
+                       (wphi2, w * phi * phi)):
+        np.cumsum(terms.reshape(-1, m), axis=1, out=out[1:, 1:])
+        np.cumsum(out[1:, 1:], axis=0, out=out[1:, 1:])
+    window = _Window(w, win, rel, offsets, phi, table.ravel(), wphi2.ravel(),
+                     float(phi ** 2 @ w))
     for a in window[:-1]:
         a.flags.writeable = False
     return window
 
 
+# Draws per pass of the pixel-only shape kernel: enough to spread its
+# NumPy calls thin, few enough that a pass's runs take a few MB
+_BLOCK = 32
+
+
+def _pixel_shape_errors(lattice: Lattice, peaks: np.ndarray,
+                        whole: np.ndarray, wl: float, amplitude: float,
+                        ppw: int) -> np.ndarray:
+    """Every draw's pixel-only shape error over the window (``_window``),
+    ``_BLOCK`` draws a pass; ``whole`` holds their ``_whole_windows``
+    flags.
+
+    A pass stacks its draws' window grids for ``Lattice.grid_runs``.  The
+    staircase is constant on each run, so with S0 and S1 the sums of w and
+    w phi over a run's rows and nodes (``_block_sums``) and h its pixel's
+    height (``_pixel_heights``), the squared error is den + sum over runs
+    of h (h S0 - 2 S1), clamped at 0 against cancellation.  Only window
+    nodes in the hull contribute: a window that crosses the hull's edge
+    splits its bands wherever a row's nodes in the hull
+    (``Lattice.grid_hull``) change, clips each run to them, and takes den
+    from the w phi^2 sums over them.  A draw's error is summed over its own
+    runs, in their order, so it does not depend on the other draws of its
+    pass."""
+    window = _window(lattice.ndim, wl, amplitude, ppw)
+    m = window.rel.size
+    rows = m if lattice.ndim == 2 else 1
+    peaks = peaks.reshape(len(whole), -1)
+    errs = np.empty(len(whole))
+    for at in range(0, errs.size, _BLOCK):
+        peak = peaks[at:at + _BLOCK]
+        axes = peak.T[..., None] + window.rel
+        row0, row1, first, end, pixel = lattice.grid_runs(*axes)
+        grid = row0 // rows
+        h = _pixel_heights(lattice, peak, amplitude, wl, pixel, grid)
+        den = window.wphi2[-1]
+        if not whole[at:at + _BLOCK].all():
+            # each row's nodes in the hull, and the bands of rows that
+            # share them: a whole window is one band, which leaves its runs
+            # and its den as they are
+            part = np.flatnonzero(~whole[at:at + _BLOCK])
+            lo = np.zeros((len(peak), rows), dtype=np.int64)
+            hi = np.full((len(peak), rows), m)
+            lo[part], hi[part] = (a.reshape(part.size, rows) for a in
+                                  lattice.grid_hull(*axes[:, part]))
+            hg, h0, h1 = _segments(lo, hi)
+            hlo, hhi = lo[hg, h0], hi[hg, h0]
+            den = np.bincount(hg, _block_sums(window.wphi2, m, h0, h1, hlo,
+                                              hhi), len(peak))
+            # each run in one piece per band that its rows cross
+            band = np.arange(hg.size).repeat(h1 - h0)
+            b0 = band.take(row0)
+            count = band.take(row1 - 1) - b0 + 1
+            run = np.arange(count.size).repeat(count)
+            band = (np.arange(run.size)
+                    + (b0 - (count.cumsum() - count)).repeat(count))
+            grid, h = grid.take(run), h.take(run)
+            row0 = np.maximum(row0.take(run), (hg * rows + h0).take(band))
+            row1 = np.minimum(row1.take(run), (hg * rows + h1).take(band))
+            lo, hi = hlo.take(band), hhi.take(band)
+            first = np.minimum(np.maximum(first.take(run), lo), hi)
+            end = np.minimum(np.maximum(end.take(run), lo), hi)
+        base = grid * rows
+        s = _block_sums(window.table, m, row0 - base, row1 - base, first, end)
+        err2 = den + np.bincount(grid, h * (h * s.real - 2.0 * s.imag),
+                                 len(peak))
+        errs[at:at + _BLOCK] = np.sqrt(np.maximum(err2, 0.0) / den)
+    return errs
+
+
+def _pixel_heights(lattice: Lattice, peaks: np.ndarray, amplitude: float,
+                   wl: float, pixel: np.ndarray, draw: np.ndarray
+                   ) -> np.ndarray:
+    """The height of each pixel[i] under the bump of draw draw[i], as
+    ``sample_pixels`` gives it.  Pixels are enumerated by y (x on a line),
+    so those whose y lies within l/2 + d of a draw's peak are one index
+    range, lo .. lo + k - 1 at most, k the widest range of the pass.  The
+    bump is evaluated at pixels lo - 1 .. lo + k of every draw, clipped to
+    the lattice's pixels.  Both ends lie farther than l/2 from the peak
+    (or are clipped, and then no pixel lies beyond them), so every pixel
+    beyond them, where the bump is +0.0 too, reads the end on its side."""
+    pos = lattice.positions.reshape(lattice.n_pixels, -1)
+    reach = 0.5 * wl + lattice.pitch
+    lo, hi = pos[:, -1].searchsorted(peaks[:, -1] + [[-reach], [reach]],
+                                     side="right")
+    k = int((hi - lo).max())
+    p = np.minimum(np.maximum(lo[:, None] + np.arange(-1, k + 1), 0),
+                   lattice.n_pixels - 1)
+    dx = pos[:, 0].take(p) - peaks[:, :1]
+    if lattice.ndim == 1:
+        h = _raised_cosine(np.abs(dx), amplitude, wl)
+    else:
+        h = _raised_cosine(np.hypot(dx, pos[:, 1].take(p) - peaks[:, 1:]),
+                           amplitude, wl)
+    if not np.isfinite(h).all():
+        raise ValueError("non-finite pixel height")
+    return h.take(draw * (k + 2)
+                  + np.minimum(np.maximum(pixel - lo.take(draw) + 1, 0), k + 1))
+
+
+def _block_sums(table: np.ndarray, m: int, r0, r1, c0, c1) -> np.ndarray:
+    """The sums over rows r0 .. r1 - 1 and nodes c0 .. c1 - 1 of the window
+    from its running sums of one or two channels (``_Window``), each row's
+    difference first, so that an empty block sums to exactly 0."""
+    a0, a1 = r0 * (m + 1), r1 * (m + 1)
+    return ((table.take(a1 + c1) - table.take(a1 + c0))
+            - (table.take(a0 + c1) - table.take(a0 + c0)))
+
+
 def _shape_error(model, lattice, peak, whole: bool, wl, amplitude,
                  ppw) -> float:
-    """One draw's relative L2 shape error over the window (``_window``);
-    ``whole`` is its ``_whole_windows`` flag.
+    """One linear or CRS draw's relative L2 shape error over the window
+    (``_window``); ``whole`` is its ``_whole_windows`` flag.
 
-    Only window nodes in the hull contribute: a window that crosses the
-    hull's edge keeps those nodes' Simpson weights alone.  The pixel-only
-    surface is constant along each run of ``Lattice.grid_runs``, so with
-    S0 and S1 the sums of w and w phi over a run (differences of the
-    window's per-row sums) and h its pixel's height, the squared error is
-    den + sum over runs of h (h S0 - 2 S1), clamped at 0 against
-    cancellation.  A window crossing the hull's edge clips each row's runs
-    to the row's nodes in the hull (``Lattice.grid_hull``), and takes den
-    over those nodes.  The other models evaluate their surfaces at the
-    window nodes in the hull, and the sums run over the full segment or
-    grid, which keeps them order-stable."""
-    w, win, rel, offsets, phi, sums, sum_wphi2, den = _window(
-        lattice.ndim, wl, amplitude, ppw)
+    The surface is evaluated at the window nodes in the hull: a window that
+    crosses the hull's edge keeps those nodes' Simpson weights alone, and
+    takes den over them.  The sums run over the full segment or grid,
+    which keeps them order-stable."""
+    w, win, _, offsets, phi, _, _, den = _window(lattice.ndim, wl,
+                                                 amplitude, ppw)
     profile = build_profile(model, _field_for(lattice, peak, amplitude, wl),
                             lattice)
-    if model.variant == "pixel-only":
-        axes = np.reshape(peak, (-1, 1)) + rel
-        row, first, end, pixel = lattice.grid_runs(*axes)
-        stride = rel.size + 1                  # of the per-row sums
-        if not whole:
-            lo, hi = lattice.grid_hull(*axes)
-            first = np.clip(first, lo[row], hi[row])
-            end = np.clip(end, lo[row], hi[row])
-            rows = np.arange(0, sum_wphi2.size, stride)
-            den = float(np.sum(sum_wphi2.take(rows + hi)
-                               - sum_wphi2.take(rows + lo)))
-        at = row * stride
-        s = sums.take(at + end, axis=0) - sums.take(at + first, axis=0)
-        h = profile.heights.take(pixel)
-        err2 = den + float(np.vdot(h, h * s[..., 0] - 2.0 * s[..., 1]))
-        return math.sqrt(max(err2, 0.0) / den)
     node = win
     pts = peak + offsets
     if not whole:

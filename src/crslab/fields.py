@@ -379,139 +379,169 @@ class Lattice:
             *self._onto_hull_axial(*self.fractional_axial(p))))
 
     def grid_runs(self, xs: Array, ys: Optional[Array] = None
-                  ) -> Tuple[Array, Array, Array, Array]:
-        """The nearest pixels over the tensor grid of the increasing
-        coordinates xs and, on planar lattices, ys, as runs along the grid's
-        rows: integer arrays (row, first, end, pixel) that broadcast
-        together to one element per run, which says that nodes first ..
-        end - 1 of grid row ``row`` (node i at xs[i], row j at ys[j]; a line
-        lattice's grid is one row) read pixel ``pixel``.  The runs of a row
-        partition its nodes, and some may be empty.  Every node in the hull
-        gets exactly the pixel that ``nearest_index`` gives it; a node
-        outside the hull gets some pixel.
+                  ) -> Tuple[Array, Array, Array, Array, Array]:
+        """The nearest pixels over a stack of G tensor grids, as runs over
+        bands of their rows.  Grid g has the increasing node coordinates
+        xs[g] and, on planar lattices, its rows at the increasing ys[g]: xs
+        is (G, m) and ys (G, n), a 1D axis meaning one grid, and a line
+        lattice's grid is one row (n = 1).  Row j of grid g is stacked row
+        g n + j.  The result is five integer arrays (row0, row1, first, end,
+        pixel), one element per run, which say that nodes first .. end - 1
+        of the stacked rows row0 .. row1 - 1, rows of one grid, read pixel
+        ``pixel``.  The runs partition every grid's nodes, and none is
+        empty.  Each grid's runs are contiguous, in the order that a call on
+        that grid alone gives them.  Every node in the hull gets exactly the
+        pixel that ``nearest_index`` gives it; a node outside the hull gets
+        some pixel.
 
-        Line and square: the nearest pixel is separable, one pixel per axis
-        as ``nearest_index`` reads it.  The runs of equal pixel column,
-        (1, K), are shared by the rows, (R, 1), and each row reads its own
-        pixel row; a line's one row reads row 0.  Along a grid row of a
-        hexagonal lattice, between pixel rows r0 and r0 + 1 at fractional
-        position v, the nearest pixel is piecewise constant.  In pitch
-        units, with pixel (n, r0) at s = n and (n, r0 + 1) at s = n + 1/2,
-        the row crosses cell (n, r0) on n +- w, w = clip(1 - 1.5 v, 0, 1/2),
-        and cell (n, r0 + 1) between n + w and n + 1 - w: only row r0's
-        cells when v <= 1/3, only row r0 + 1's when v >= 2/3.  Consecutive
-        rows with equal (r0, w) cross the same cells at the same edges, so
-        their runs are found once, with the edges' cuts placed from the
-        step of a uniform x axis (``_cuts``).  A node within 1e-9 pitch of a
-        cell edge becomes a run of its own that reads the pixel
-        ``nearest_index`` gives it, so ties and roundoff resolve exactly as
-        there.
+        A band is a set of consecutive rows of one grid that cross the same
+        cells at the same nodes.  Line and square: the nearest pixel is
+        separable, one pixel per axis as ``nearest_index`` reads it, so a
+        band is the rows with one pixel row (a line's one row), and its
+        runs are the grid's runs of equal pixel column.  Along a grid row
+        of a hexagonal lattice, between pixel rows r0 and r0 + 1 at
+        fractional position v, the nearest pixel is piecewise constant.  In
+        pitch units, with pixel (n, r0) at s = n and (n, r0 + 1) at s = n +
+        1/2, the row crosses cell (n, r0) on n +- w, w = clip(1 - 1.5 v, 0,
+        1/2), and cell (n, r0 + 1) between n + w and n + 1 - w: only row
+        r0's cells when v <= 1/3, only row r0 + 1's when v >= 2/3.  So a
+        band is the rows with equal (r0, w), and the edges' cuts are placed
+        per grid from the step of a uniform x axis (``_cuts``).  A node
+        within 1e-9 pitch of a cell edge becomes a one-node, one-row run
+        that reads the pixel ``nearest_index`` gives it, so ties and
+        roundoff resolve exactly as there.
         """
-        xs = np.asarray(xs, dtype=float)
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         if self.kind != "line" and ys is None:
             raise ValueError(f"a {self.kind} lattice is planar and needs ys")
-        if self.kind != "hexagonal":
-            ix = self._axis_pixel(xs)
-            base = (self._axis_pixel(np.asarray(ys, dtype=float), 1)
-                    * self.grid_shape[0] if self.kind == "square"
-                    else np.zeros(1, dtype=np.int64))
-            cuts = np.flatnonzero(ix[1:] != ix[:-1]) + 1
-            first = np.concatenate(([0], cuts))
-            return (np.arange(base.size)[:, None], first[None],
-                    np.concatenate((cuts, [xs.size]))[None],
-                    base[:, None] + ix[first])
-        ys = np.asarray(ys, dtype=float)
+        if self.kind == "hexagonal":
+            return self._hex_runs(xs, np.atleast_2d(np.asarray(ys, dtype=float)))
+        ix = self._axis_pixel(xs)
+        base = (self._axis_pixel(np.atleast_2d(np.asarray(ys, dtype=float)), 1)
+                * self.grid_shape[0] if self.kind == "square"
+                else np.zeros((xs.shape[0], 1), dtype=np.int64))
+        # each band of one pixel row, with its grid's runs of equal column
+        gb, j0, j1 = _segments(base)
+        gc, first, end = _segments(ix)
+        per = np.bincount(gc, minlength=xs.shape[0])
+        count = per.take(gb)
+        band = np.arange(gb.size).repeat(count)
+        col = np.arange(band.size) + (
+            (per.cumsum() - per).take(gb) - (count.cumsum() - count)).repeat(count)
+        rows = base.shape[1]
+        return ((gb * rows + j0).take(band), (gb * rows + j1).take(band),
+                first.take(col), end.take(col),
+                base[gb, j0].take(band) + ix[gc, first].take(col))
+
+    def _hex_runs(self, xs: Array, ys: Array
+                  ) -> Tuple[Array, Array, Array, Array, Array]:
+        """``grid_runs`` on a hexagonal lattice, for stacked axes."""
         ox, oy = self.origin2d
         t = (xs - ox) / self.pitch                 # as in fractional_axial
         rf = (ys - oy) / (_SQRT3 / 2.0 * self.pitch)
         r0 = np.floor(rf)
         w = np.minimum(np.maximum(1.0 - 1.5 * (rf - r0), 0.0), 0.5)
-        new = np.empty(ys.size, dtype=bool)
-        new[0] = True
-        new[1:] = (r0[1:] != r0[:-1]) | (w[1:] != w[:-1])
-        band = np.cumsum(new) - 1                  # each row's band
-        r0, w = r0[new, None], w[new, None]
+        gb, j0, j1 = _segments(r0, w)
+        r0, w = r0[gb, j0][:, None], w[gb, j0][:, None]
         # cells (n, r0) and (n, r0 + 1) for n = n0 .. n0 + P - 1, and the
-        # edge after each; the last edge lies beyond t[-1]
-        periods = int(math.ceil(t[-1] - t[0])) + 2
-        n = np.floor(t[0] - 0.5 * r0) + np.arange(periods)
-        left = n + 0.5 * r0
-        edges = np.empty((r0.size, 2 * periods))
+        # edge after each; the last edges lie beyond every grid's t[-1]
+        periods = int(math.ceil((t[:, -1] - t[:, 0]).max())) + 2
+        n0 = np.floor(t[gb, :1] - 0.5 * r0)
+        left = n0 + np.arange(periods) + 0.5 * r0
+        edges = np.empty((gb.size, 2 * periods))
         edges[:, 0::2] = left + w
         edges[:, 1::2] = left + (1.0 - w)
-        cut = _cuts(t, edges - 1e-9)
+        cut = _cuts(t, edges - 1e-9, gb)
         # the run after an edge starts past the nodes within 1e-9 of it
+        m = t.shape[1]
+        padded = np.concatenate((t, np.full((t.shape[0], 1), np.inf)), axis=1)
+        at = gb[:, None] * (m + 1)
+        near = padded.take(at + cut) <= edges + 1e-9
+        b, e = np.nonzero(near) if near.any() else (np.zeros(0, int),) * 2
         stop = cut.copy()
-        near = np.append(t, np.inf).take(cut) <= edges + 1e-9
-        if near.any():
-            stop[near] = np.searchsorted(t, edges[near] + 1e-9, side="right")
+        if b.size:
+            key = edges[b, e] + 1e-9
+            stop[b, e] = _settle(cut[b, e] + 1,
+                                 lambda i: padded.take(at[b, 0] + i) > key, m)
         start = np.zeros_like(cut)
         start[:, 1:] = stop[:, :-1]
         # flat axial-table index; a cell beyond the table or a -1 entry is
         # clipped to some pixel, which only nodes outside the hull fall in
         k = self._rings
-        flat = ((n + k) * (2 * k + 1) + (r0 + k))[..., None] + np.arange(2)
-        cells = np.maximum(self._axial_table.take(
-            flat.astype(np.int64).reshape(r0.size, -1), mode="clip"), 0)
-        row = np.arange(ys.size)[:, None]
-        first, end, pixel = (a.take(band, axis=0) for a in (start, cut, cells))
-        if not near.any():
-            return row, first, end, pixel
-        # an edge's nodes may reach past the next edge, which empties the
-        # run between them; the edge nodes are each band's, in every row of
-        # the band
-        b, e = np.nonzero(near)
+        width = 2 * k + 5
+        flat = ((n0 + (k + 2)) * width + (r0 + (k + 2))).astype(np.int64) \
+            + (np.arange(periods)[:, None] * width + np.arange(2)).ravel()
+        cells = np.maximum(self._axial_table.take(flat, mode="clip"), 0)
+        # the nonempty runs; an edge's nodes may reach past the next edge,
+        # which empties the run between them
+        rows = ys.shape[1]
+        keep = np.flatnonzero(cut > start)
+        band = keep // (2 * periods)
+        runs = ((gb * rows + j0).take(band), (gb * rows + j1).take(band),
+                start.take(keep), cut.take(keep), cells.take(keep))
+        if not b.size:
+            return runs
+        # the edge's nodes are one-node runs in every row of the band
         lo = np.maximum(cut[b, e], start[b, e])
         count = np.maximum(stop[b, e] - lo, 0)
         node = np.arange(count.sum()) + np.repeat(lo - np.cumsum(count) + count,
                                                   count)
-        j, i = np.nonzero(band[:, None] == np.repeat(b, count))
-        pixel_at = self.nearest_index(np.column_stack([xs[node[i]], ys[j]]))
-        return (np.append(row.repeat(first.shape[1]), j),
-                np.append(first, node[i]),
-                np.append(np.maximum(end, first), node[i] + 1),
-                np.append(pixel, pixel_at))
+        band = np.repeat(b, count)
+        span = (j1 - j0)[band]
+        i = np.repeat(np.arange(node.size), span)
+        j = np.arange(i.size) + np.repeat(j0[band] - (np.cumsum(span) - span),
+                                          span)
+        g, node = gb[band].take(i), node.take(i)
+        pixel = self.nearest_index(np.column_stack([xs[g, node], ys[g, j]]))
+        row = g * rows + j
+        return tuple(np.append(a, more) for a, more in
+                     zip(runs, (row, row + 1, node, node + 1, pixel)))
 
     def grid_hull(self, xs: Array, ys: Optional[Array] = None
                   ) -> Tuple[Array, Array]:
-        """The nodes of each row of the tensor grid of ``grid_runs`` that
+        """The nodes of each stacked row of the grids of ``grid_runs`` that
         lie in the hull, node for node as ``contains`` judges them: nodes
-        lo[j] .. hi[j] - 1 of row j, one row on a line lattice.  The hull is
-        convex, so they are one interval.  Line and square hulls are tested
-        per axis.  A hexagonal hull is three slabs |x nx + y ny| <= bound,
-        and along a row x nx + y ny, summed as ``contains`` sums it, is
-        monotone, so each slab's ends are searched for and then settled
-        against that sum (``_settle``)."""
-        xs = np.asarray(xs, dtype=float)
+        lo[j] .. hi[j] - 1 of stacked row j, for G n rows (one row a grid
+        on a line lattice).  The hull is convex, so they are one interval.
+        Line and square hulls are tested per axis.  A hexagonal hull is
+        three slabs |x nx + y ny| <= bound, and along a row x nx + y ny,
+        summed as ``contains`` sums it, is monotone, so each slab's ends
+        are searched for (``_cuts``) and then settled against that sum
+        (``_settle``)."""
+        xs = np.atleast_2d(np.asarray(xs, dtype=float))
         eps = 1e-9 * max(self.pitch, 1.0)
         if self.kind != "hexagonal":
             if self.kind == "line":
                 cols = _between(xs, self.hull_bounds(), 0.0, eps)
-                rows = np.ones(1, dtype=bool)
+                rows = np.ones((xs.shape[0], 1), dtype=bool)
             else:
                 xb, yb = self.hull_bounds()
                 cols = _between(xs, xb, 0.0, eps)
-                rows = _between(np.asarray(ys, dtype=float), yb, 0.0, eps)
+                rows = _between(np.atleast_2d(np.asarray(ys, dtype=float)),
+                                yb, 0.0, eps)
             # xs increases, so its nodes in the hull are one interval
-            lo = np.argmax(cols)
-            hi = lo + np.count_nonzero(cols)
-            return np.where(rows, lo, 0), np.where(rows, hi, 0)
-        ys = np.asarray(ys, dtype=float)
+            lo = np.argmax(cols, axis=1)[:, None]
+            hi = lo + np.count_nonzero(cols, axis=1)[:, None]
+            return np.where(rows, lo, 0).ravel(), np.where(rows, hi, 0).ravel()
+        ys = np.atleast_2d(np.asarray(ys, dtype=float))
+        (n_grids, m), n_rows = xs.shape, ys.shape[1]
         normals, bound = self._hex_slabs(0.0)
         # s (x nx + y ny) does not decrease along a row; it enters each slab
         # where it reaches -bound and leaves it where it exceeds bound, that
         # is, reaches the next float up
-        s = np.array([[1.0 if nx >= 0.0 else -1.0] for nx, _ in normals])
+        s = np.array([1.0 if nx >= 0.0 else -1.0
+                      for nx, _ in normals])[:, None, None, None]
         a = np.array([xs * nx for nx, _ in normals])
-        b = np.array([ys * ny for _, ny in normals])[:, None]
+        b = np.array([ys * ny for _, ny in normals])[:, :, None]
         edge = np.array([[-bound], [np.nextafter(bound, np.inf)]])
-        guess = np.array([np.searchsorted(sa, ea) for sa, ea in
-                          zip(s * a, edge - s[:, None] * b)])
-        at = np.arange(0, a.size, xs.size)[:, None, None]
-        ends = _settle(guess, lambda i: s[:, None] * (a.take(at + i) + b)
-                       >= edge, xs.size)
-        lo = ends[:, 0].max(axis=0)
-        return lo, np.maximum(ends[:, 1].min(axis=0), lo)
+        slabs = np.arange(3 * n_grids)
+        guess = _cuts((s[..., 0] * a).reshape(-1, m),
+                      (edge - s * b).reshape(slabs.size, -1), slabs)
+        at = (slabs * m).reshape(3, n_grids, 1, 1)
+        ends = _settle(guess.reshape(3, n_grids, 2, n_rows),
+                       lambda i: s * (a.take(at + i) + b) >= edge, m)
+        lo = ends[:, :, 0].max(axis=0)
+        return lo.ravel(), np.maximum(ends[:, :, 1].min(axis=0), lo).ravel()
 
     def nearest_distance(self, points: Array) -> Array:
         idx = self.nearest_index(points)
@@ -534,11 +564,13 @@ class Lattice:
         return qf, rf
 
     def axial_index(self, q: Array, r: Array) -> Array:
-        """Pixel index at integer axial coordinates, -1 where there is none."""
+        """Pixel index at integer axial coordinates, -1 where there is none:
+        one flat ``take`` on the axial table, whose border of -1 entries
+        every coordinate beyond it is clipped onto."""
         k = self._rings
-        valid = (np.abs(q) <= k) & (np.abs(r) <= k)
-        return np.where(valid, self._axial_table[np.clip(q + k, 0, 2 * k),
-                                                 np.clip(r + k, 0, 2 * k)], -1)
+        q = np.minimum(np.maximum(q + (k + 2), 0), 2 * k + 4)
+        r = np.minimum(np.maximum(r + (k + 2), 0), 2 * k + 4)
+        return self._axial_table.take(q * (2 * k + 5) + r)
 
     def _onto_hull_axial(self, qf: Array, rf: Array) -> Tuple[Array, Array]:
         """Euclidean projection of fractional axial coordinates onto the
@@ -600,16 +632,18 @@ class Lattice:
         qi, ri, up = self._locate_hex(qf, rf)
         u = qf - qi
         v = rf - ri
-        idx = np.empty((3, qf.size), dtype=np.int64)
         w = np.empty((3, qf.size))
         # the upward triangle (q, r), (q+1, r), (q, r+1), else (flip) the
-        # downward (q+1, r+1), (q, r+1), (q+1, r)
+        # downward (q+1, r+1), (q, r+1), (q+1, r): offsets from (q, r) in
+        # the flat axial table, one take for all three; a cell clipped
+        # onto the table's two-wide border of -1 has no vertex
+        k = self._rings
+        width = 2 * k + 5
+        cell = ((np.minimum(np.maximum(qi, -k - 2), k + 1) + (k + 2)) * width
+                + np.minimum(np.maximum(ri, -k - 2), k + 1) + (k + 2))
+        idx = self._axial_table.take(cell + np.where(
+            up, [[0], [width], [1]], [[width + 1], [1], [width]]))
         flip = ~up
-        q1, r1 = self.axial_index(qi + 1, ri), self.axial_index(qi, ri + 1)
-        idx[0] = np.where(flip, self.axial_index(qi + 1, ri + 1),
-                          self.axial_index(qi, ri))
-        idx[1] = np.where(flip, r1, q1)
-        idx[2] = np.where(flip, q1, r1)
         w[0] = np.where(flip, u + v - 1.0, 1.0 - u - v)
         w[1] = np.where(flip, 1.0 - u, u)
         w[2] = np.where(flip, 1.0 - v, v)
@@ -685,11 +719,14 @@ class Lattice:
 
     @cached_property
     def _axial_table(self) -> Array:
-        """Pixel index of axial (q, r) at [q + k, r + k], else -1."""
+        """Pixel index of axial (q, r) at flat [(q + k + 2) (2k + 5) + r + k
+        + 2], else -1: the (2k + 1)^2 sites, and a border of -1 two entries
+        wide."""
         k = self._rings
-        table = -np.ones((2 * k + 1, 2 * k + 1), dtype=np.int64)
-        table[self.axial[:, 0] + k, self.axial[:, 1] + k] = np.arange(self.n_pixels)
-        return table
+        table = -np.ones((2 * k + 5, 2 * k + 5), dtype=np.int64)
+        table[self.axial[:, 0] + (k + 2), self.axial[:, 1] + (k + 2)] = \
+            np.arange(self.n_pixels)
+        return table.ravel()
 
     # ---------------- beam lines ----------------
 
@@ -793,21 +830,45 @@ def _between(v: Array, bounds: Tuple[float, float], margin: float,
     return (v >= bounds[0] + margin - eps) & (v <= bounds[1] - margin + eps)
 
 
-def _cuts(t: Array, e: Array) -> Array:
-    """``np.searchsorted(t, e)`` for an increasing t.  When every t[i] lies
-    within a quarter step of t[0] + i step, the cut nearest ceil((e - t[0])
-    / step) is off by at most one node, and one comparison on either side
+def _segments(*keys: Array) -> Tuple[Array, Array, Array]:
+    """The longest segments along each row of the (G, L) arrays keys over
+    which every key is constant: the row, first column and end column
+    (exclusive) of each, in row-major order."""
+    n = keys[0].shape[1]
+    cut = np.ones((keys[0].shape[0], n + 1), dtype=bool)   # before column j
+    cut[:, 1:-1] = keys[0][:, 1:] != keys[0][:, :-1]
+    for key in keys[1:]:
+        cut[:, 1:-1] |= key[:, 1:] != key[:, :-1]
+    at = cut.ravel().nonzero()[0]
+    col = at % (n + 1)
+    seg = (col != n)[:-1]
+    return (at[:-1] // (n + 1))[seg], col[:-1][seg], col[1:][seg]
+
+
+def _cuts(t: Array, e: Array, grid: Array) -> Array:
+    """``np.searchsorted(t[grid[b]], e[b])`` for every row b of e, for a
+    stack of increasing axes t, (G, m).  When every t[g, i] lies within a
+    quarter step of t[g, 0] + i step, the cut nearest ceil((e - t[g, 0]) /
+    step) is off by at most one node, and one comparison on either side
     settles it; that is about twice as fast as the binary search, which
     any other axis takes."""
-    step = (t[-1] - t[0]) / max(t.size - 1, 1)
-    if not (step > 0.0 and np.all(np.abs(t - (t[0] + step * np.arange(t.size)))
-                                  < 0.25 * step)):
-        return np.searchsorted(t, e)
-    i = np.minimum(np.maximum(np.ceil((e - t[0]) * (1.0 / step)), 0.0),
-                   t.size).astype(np.int64)
-    padded = np.concatenate(([-np.inf], t, [np.inf]))   # t[i - 1] at [i]
-    i -= padded.take(i) >= e
-    i += padded.take(i + 1) < e
+    m = t.shape[1]
+    step = (t[:, -1] - t[:, 0]) / max(m - 1, 1)
+    uniform = (step > 0.0) & (np.abs(
+        t - (t[:, :1] + step[:, None] * np.arange(m))).max(axis=1)
+        < 0.25 * step)
+    inv = (1.0 / np.where(uniform, step, 1.0))[grid, None]
+    i = np.minimum(np.maximum(np.ceil((e - t[grid, :1]) * inv), 0.0),
+                   m).astype(np.int64)
+    ends = np.full((t.shape[0], 1), np.inf)
+    padded = np.concatenate((-ends, t, ends), axis=1)   # t[g, i - 1] at [g, i]
+    at = grid[:, None] * (m + 2)
+    i -= padded.take(at + i) >= e
+    i += padded.take(at + i + 1) < e
+    if not uniform.all():
+        for g in np.flatnonzero(~uniform):
+            rows = grid == g
+            i[rows] = np.searchsorted(t[g], e[rows])
     return i
 
 

@@ -1,9 +1,7 @@
 """Distortion metrics: peak location, Monte Carlo estimates against
 closed-form oracles, pairing, scaling, and sweep plumbing."""
 import dataclasses
-import itertools
 import math
-import types
 
 import numpy as np
 import pytest
@@ -158,12 +156,12 @@ def hull_calls(monkeypatch):
     """Every model's __call__ asserts that the hull holds its points, as
     the evaluation contract asks of callers; the list names the model of
     each call.  The pixel-only shape kernel reads pixel heights over runs
-    of its window grid's nodes instead, outside the hull too: that lookup is
-    logged as well, and it splits off every node outside the hull as a run
-    of its own that reads the pixel nearest the window's centre, the bump's
-    highest, so an estimate that used one would change.  Every draw runs in
-    this process, where the patch reaches: a helper process forked earlier
-    would evaluate some draws out of its sight."""
+    of its window grids' nodes instead, outside the hull too: that lookup
+    is logged as well, once per pass, and it makes every node a run of its
+    own, each node outside the hull reading the pixel nearest its grid's
+    centre, the bump's highest, so an estimate that used one would change.
+    Every draw runs in this process, where the patch reaches: a helper
+    process forked earlier would evaluate some draws out of its sight."""
     _serial(monkeypatch)
     calls = []
     for cls in (NearestProfile, LinearProfile1D, LinearSurface2D,
@@ -176,22 +174,34 @@ def hull_calls(monkeypatch):
         monkeypatch.setattr(cls, "__call__", checked)
 
     def misread_outside(self, xs, ys=None, _call=Lattice.grid_runs):
-        row, first, end, pixel = (a.ravel() for a in np.broadcast_arrays(
-            *_call(self, xs, ys)))
-        count = end - first
-        node = np.repeat(row * len(xs) + first - np.cumsum(count) + count,
+        row0, row1, first, end, pixel = _call(self, xs, ys)
+        xs = np.atleast_2d(xs)
+        grids, m = xs.shape
+        rows = 1 if ys is None else np.atleast_2d(ys).shape[1]
+        # the pixel of every node, row by row, as the runs give it
+        span = row1 - row0
+        run = np.repeat(np.arange(span.size), span)
+        row = np.arange(run.size) + np.repeat(row0 - np.cumsum(span) + span,
+                                              span)
+        count = (end - first).take(run)
+        node = np.repeat(row * m + first.take(run) - np.cumsum(count) + count,
                          count) + np.arange(count.sum())
-        pts = xs if ys is None else np.column_stack(
-            [np.tile(xs, len(ys)), np.repeat(ys, len(xs))])
-        out = np.flatnonzero(~self.contains(pts))
-        keep = ~np.isin(node, out)
-        centre = [np.mean(xs)] if ys is None else [[np.mean(xs), np.mean(ys)]]
+        grid = np.empty(grids * rows * m, dtype=np.int64)
+        grid[node] = np.repeat(pixel.take(run), count)
+        g = np.arange(grid.size) // (rows * m)
+        x = xs[g, np.arange(grid.size) % m]
+        if ys is None:
+            pts, centre = x, xs.mean(axis=1)
+        else:
+            ys = np.atleast_2d(ys)
+            pts = np.column_stack([x, ys[g, np.arange(grid.size) // m % rows]])
+            centre = np.column_stack([xs.mean(axis=1), ys.mean(axis=1)])
+        out = ~self.contains(pts)
+        grid[out] = self.nearest_index(np.asarray(centre))[g[out]]
         calls.append("grid_runs")
-        return (np.append(row.repeat(count)[keep], out // len(xs)),
-                np.append(node[keep] % len(xs), out % len(xs)),
-                np.append(node[keep] % len(xs) + 1, out % len(xs) + 1),
-                np.append(pixel.repeat(count)[keep],
-                          np.full(out.size, self.nearest_index(centre)[0])))
+        one = np.arange(grids * rows)
+        return (one.repeat(m), one.repeat(m) + 1, np.tile(np.arange(m), one.size),
+                np.tile(np.arange(m), one.size) + 1, grid)
     monkeypatch.setattr(Lattice, "grid_runs", misread_outside)
     return calls
 
@@ -214,9 +224,10 @@ def test_shape_kernel_evaluates_hull_points_only(hull_calls, kind, model):
     whole = distortion._whole_windows(lat, peaks, 90.0)
     assert whole.any() and not whole.all()
     est = shape_distortion(model, lat, 90.0, 3, 12, region="full")
-    assert len(hull_calls) == 3
+    # one pixel-only pass over the three draws, or one surface call a draw
+    assert len(hull_calls) == (1 if model is PIX else 3)
     if model is PIX:
-        assert set(hull_calls) == {"grid_runs"}
+        assert hull_calls == ["grid_runs"]
         errs = _pixel_shape_errors_per_node(lat, peaks, 90.0, 1.0, 256)
         assert est.value == pytest.approx(float(np.mean(errs)), rel=1e-11)
         assert est.standard_error == pytest.approx(
@@ -247,11 +258,6 @@ def test_find_peak_evaluates_hull_points_only(hull_calls, kind):
 
 def _serial(monkeypatch):
     monkeypatch.setattr(_pool, "_helpers", lambda n_items: None)
-
-
-def _no_heartbeat(monkeypatch):
-    """Every draw of every model is a pool item, pixel-only ones too."""
-    monkeypatch.setattr(distortion, "_HEARTBEAT_S", 0.0)
 
 
 def _spy_on_pool_calls(monkeypatch) -> list:
@@ -293,7 +299,6 @@ _SPLIT_LATTICES = {
 def test_draws_on_helpers_equal_a_serial_run(monkeypatch, helper_pool,
                                             estimator, kind, model, n,
                                             policy, region):
-    _no_heartbeat(monkeypatch)
     lat = _SPLIT_LATTICES[kind]
     kwargs = {"region": region}
     if policy is not None:
@@ -309,13 +314,12 @@ def test_draws_on_helpers_equal_a_serial_run(monkeypatch, helper_pool,
 
 
 @pytest.mark.parametrize("kernel, kind, model, last", [
-    (distortion._shape_error, "hexagonal", PIX, 256),
+    (distortion._shape_error, "hexagonal", LIN, 256),
     (distortion._crs_position_error, "line", CRS, "nearest_capped"),
     (distortion._crs_position_error, "sparse", CRS, "discard"),
-], ids=["Ds-hexagonal-pixel-only", "Dp-line-crs", "Dp-sparse-crs-discard"])
+], ids=["Ds-hexagonal-linear", "Dp-line-crs", "Dp-sparse-crs-discard"])
 def test_draw_errors_come_back_in_row_order(monkeypatch, helper_pool,
                                             kernel, kind, model, last):
-    _no_heartbeat(monkeypatch)
     lat = _SPLIT_LATTICES[kind]
     peaks = distortion._draw_peaks(lat, 90.0, 9, 8, "Dp", "full")
     draws = (peaks,)
@@ -330,35 +334,42 @@ def test_draw_errors_come_back_in_row_order(monkeypatch, helper_pool,
 
 
 def test_an_estimate_maps_one_item_per_draw(monkeypatch):
-    # whatever the number of CPUs: with no heartbeat every draw of every
-    # model is its own pool item; with an endless one a pixel-only estimate
-    # runs every draw itself and makes no pool call, and the other models
-    # still share every draw
+    # whatever the number of CPUs: every linear and CRS draw is its own
+    # item of one pool call, and a pixel-only estimate, of any size, makes
+    # no pool call
     calls = _spy_on_pool_calls(monkeypatch)
-    lat = _SPLIT_LATTICES["line"]
-    for heartbeat in (0.0, math.inf):
-        monkeypatch.setattr(distortion, "_HEARTBEAT_S", heartbeat)
-        for estimator, model, n in [(shape_distortion, PIX, 7),
-                                    (shape_distortion, LIN, 4),
-                                    (shape_distortion, CRS, 3),
-                                    (position_distortion, CRS, 5)]:
-            calls.clear()
-            assert estimator(model, lat, 90.0, n, 21).n_samples == n
-            assert calls == ([] if model is PIX and heartbeat == math.inf
-                             else [n])
+    for estimator, kind, model, n in [
+            (shape_distortion, "line", PIX, 7),
+            (shape_distortion, "line", PIX, 400),
+            (shape_distortion, "hexagonal", PIX, 70),
+            (shape_distortion, "line", LIN, 4),
+            (shape_distortion, "line", CRS, 3),
+            (position_distortion, "line", CRS, 5)]:
+        calls.clear()
+        est = estimator(model, _SPLIT_LATTICES[kind], 90.0, n, 21)
+        assert est.n_samples == n
+        assert calls == ([] if model is PIX else [n])
 
 
 class _FailingLattice(Lattice):
-    """A square lattice whose nearest-pixel runs over a window grid raise
-    for the window of every listed draw; the draw's index is in the
-    message."""
+    """A square lattice whose triangles raise for the window of every
+    listed draw, the triangles that a linear surface reads at the window
+    nodes; the draw's index is in the message."""
 
-    def grid_runs(self, xs, ys=None):
-        centre = np.array([np.mean(xs), np.mean(ys)])
+    def triangles(self, points):
+        centre = np.mean(points, axis=0)
         for i, peak in self.failing:
             if np.allclose(centre, peak, rtol=0.0, atol=1e-6):
                 raise ValueError(f"draw {i} failed")
-        return super().grid_runs(xs, ys)
+        return super().triangles(points)
+
+
+def _failing_lattice(peaks, failing) -> Lattice:
+    lat = _SPLIT_LATTICES["square"]
+    bad = _FailingLattice(**{f.name: getattr(lat, f.name)
+                             for f in dataclasses.fields(lat)})
+    object.__setattr__(bad, "failing", [(i, peaks[i]) for i in failing])
+    return bad
 
 
 @pytest.mark.parametrize("failing", [(1, 6), (6,)])
@@ -366,48 +377,42 @@ def test_a_failing_draw_raises_as_a_serial_run_does(monkeypatch, failing):
     # draws 1 and 6 are separate pool items, which the calling process and
     # the helpers take in turn; the first failing draw's error is raised
     # wherever each draw ran
-    lat = _SPLIT_LATTICES["square"]
-    peaks = distortion._draw_peaks(lat, 90.0, 8, 4, "Ds", "interior")
-    assert distortion._whole_windows(lat, peaks, 90.0).all()
-    bad = _FailingLattice(**{f.name: getattr(lat, f.name)
-                             for f in dataclasses.fields(lat)})
-    object.__setattr__(bad, "failing", [(i, peaks[i]) for i in failing])
+    peaks = distortion._draw_peaks(_SPLIT_LATTICES["square"], 90.0, 8, 4,
+                                   "Ds", "interior")
+    assert distortion._whole_windows(_SPLIT_LATTICES["square"], peaks,
+                                     90.0).all()
+    bad = _failing_lattice(peaks, failing)
     errors = []
     for run in ("shared", "serial"):
         if run == "serial":
             _serial(monkeypatch)
         with pytest.raises(ValueError) as err:
-            shape_distortion(PIX, bad, 90.0, 8, 4, region="interior")
+            shape_distortion(LIN, bad, 90.0, 8, 4, region="interior")
         errors.append((type(err.value), str(err.value)))
     assert errors[0] == errors[1] == (ValueError, f"draw {failing[0]} failed")
 
 
 @pytest.mark.parametrize("failing", [(), (1, 6), (2, 3), (4, 6)])
 def test_an_estimate_split_between_caller_and_pool_equals_a_serial_run(
-        monkeypatch, failing):
-    # a clock that moves by one second at every reading and a heartbeat of
-    # 3.5 s: the caller runs draws 0-2, and draws 3-7 are one pool call;
-    # the estimate, or the first failing draw's error, is a serial run's
-    monkeypatch.setattr(distortion, "time", types.SimpleNamespace(
-        perf_counter=itertools.count().__next__))
-    monkeypatch.setattr(distortion, "_HEARTBEAT_S", 3.5)
+        monkeypatch, helper_pool, failing):
+    # the eight linear draws are one pool call, whose items the calling
+    # process and the helpers take in turn; the estimate, or the first
+    # failing draw's error, is a serial run's
     calls = _spy_on_pool_calls(monkeypatch)
-    lat = _SPLIT_LATTICES["square"]
-    peaks = distortion._draw_peaks(lat, 90.0, 8, 4, "Ds", "interior")
-    bad = _FailingLattice(**{f.name: getattr(lat, f.name)
-                             for f in dataclasses.fields(lat)})
-    object.__setattr__(bad, "failing", [(i, peaks[i]) for i in failing])
+    peaks = distortion._draw_peaks(_SPLIT_LATTICES["square"], 90.0, 8, 4,
+                                   "Ds", "interior")
+    bad = _failing_lattice(peaks, failing)
     runs = []
     for run in ("split", "serial"):
         if run == "serial":
             _serial(monkeypatch)
         try:
-            runs.append(shape_distortion(PIX, bad, 90.0, 8, 4,
+            runs.append(shape_distortion(LIN, bad, 90.0, 8, 4,
                                          region="interior"))
         except ValueError as err:
             runs.append((type(err), str(err)))
         if run == "split":
-            assert calls == ([] if failing and failing[0] < 3 else [5])
+            assert calls == [8]
     if failing:
         assert runs[0] == runs[1] == (ValueError,
                                       f"draw {failing[0]} failed")
@@ -420,22 +425,39 @@ def test_an_estimate_split_between_caller_and_pool_equals_a_serial_run(
 def test_window_is_built_once_and_read_only():
     window = distortion._window(2, 90.0, 1.0, 256)
     assert distortion._window(2, 90.0, 1.0, 256) is window
-    for name in ("w", "win", "rel", "offsets", "phi", "sums", "sum_wphi2"):
+    for name in ("w", "win", "rel", "offsets", "phi", "table", "wphi2"):
         arr = getattr(window, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 1
-    # the per-row sums start each row at 0 and run over its w, w phi and
-    # w phi^2
+    # the running sums are 0 along the first row and column, and their
+    # differences along both axes are the w, w phi and w phi^2 of the nodes
     m = window.rel.size
-    for sums, terms in ((window.sums[:, 0], window.w),
-                        (window.sums[:, 1], window.w * window.phi),
-                        (window.sum_wphi2, window.w * window.phi ** 2)):
-        sums = sums.reshape(m, m + 1)
-        assert not sums[:, 0].any()
-        np.testing.assert_allclose(np.diff(sums, axis=1),
+    w, phi = window.w, window.phi
+    channels = (window.table.real, window.table.imag, window.wphi2)
+    assert window.table.shape == window.wphi2.shape == ((m + 1) ** 2,)
+    for sums, terms in zip(channels, (w, w * phi, w * phi ** 2)):
+        sums = sums.reshape(m + 1, m + 1)
+        assert not sums[0].any() and not sums[:, 0].any()
+        np.testing.assert_allclose(np.diff(np.diff(sums, axis=0), axis=1),
                                    terms.reshape(m, m), rtol=1e-9,
                                    atol=1e-12 * sums.max())
-    assert window.den > 0.0
+    assert window.wphi2[-1] == pytest.approx(window.den, rel=1e-12)
+    # a block's sums are four entries of a channel, and an empty block's
+    # are exactly 0
+    rng = np.random.default_rng(5)
+    r = np.sort(rng.integers(0, m + 1, (2, 50)), axis=0)
+    c = np.sort(rng.integers(0, m + 1, (2, 50)), axis=0)
+    r[:, :5] = 7
+    c[:, 5:10] = 100
+    pair = distortion._block_sums(window.table, m, r[0], r[1], c[0], c[1])
+    got = (pair.real, pair.imag,
+           distortion._block_sums(window.wphi2, m, r[0], r[1], c[0], c[1]))
+    for k in range(50):
+        for sums, terms in zip(got, (w, w * phi, w * phi ** 2)):
+            block = terms.reshape(m, m)[r[0, k]:r[1, k], c[0, k]:c[1, k]]
+            assert sums[k] == pytest.approx(block.sum(), rel=1e-9,
+                                            abs=1e-12 * terms.sum())
+            assert (sums[k] == 0.0) == (block.size == 0)
     # the offsets are the disc nodes of the rel x rel grid, row by row
     rel, win = window.rel, window.win
     assert window.offsets.shape == (win.size, 2)
@@ -447,8 +469,8 @@ def test_window_is_built_once_and_read_only():
     line = distortion._window(1, 90.0, 1.0, 256)
     assert line.offsets.tobytes() == line.rel.tobytes()
     assert line.w.all()
-    assert line.sums.shape == (m + 1, 2) and line.sum_wphi2.shape == (m + 1,)
-    assert line.sums[-1, 0] == pytest.approx(90.0, rel=1e-12)
+    assert line.table.shape == line.wphi2.shape == (2 * (m + 1),)
+    assert line.table[-1].real == pytest.approx(90.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("estimator", [position_distortion, shape_distortion])
@@ -554,6 +576,12 @@ def test_every_model_sees_the_same_draws(kind, region, n, seed):
         mp.setattr(distortion, "_vertex_position_errors", vertex_spy)
         for name in ("_crs_position_error", "_shape_error"):
             mp.setattr(distortion, name, draw_spy(name))
+
+        def pass_spy(lattice, peaks, whole, *args):
+            seen.setdefault("_pixel_shape_errors", []).append(
+                peaks.reshape(-1, lat.ndim).copy())
+            return np.zeros(len(whole))
+        mp.setattr(distortion, "_pixel_shape_errors", pass_spy)
         for estimator in (position_distortion, shape_distortion):
             got = []
             for model in (PIX, LIN, CRS):
@@ -796,10 +824,14 @@ def test_shape_2d_matches_per_draw_kernel(kind, region, model):
 
 
 def _kernel_shape_errors(model, lattice, peaks):
-    """The per-draw shape kernel on every draw in turn, with each draw's
+    """The shape kernel's errors of every draw, with each draw's
     whole-window flag, at l = 90, unit amplitude and 256 points per
-    wavelength."""
+    wavelength: the pixel-only pass over all draws, or the per-draw kernel
+    on every draw in turn."""
     whole = distortion._whole_windows(lattice, peaks, 90.0)
+    if model is PIX:
+        return distortion._pixel_shape_errors(lattice, peaks, whole, 90.0,
+                                              1.0, 256)
     return np.array([distortion._shape_error(model, lattice, peak, flag,
                                              90.0, 1.0, 256)
                      for peak, flag in zip(peaks, whole)])
@@ -842,6 +874,89 @@ def _pixel_shape_errors_per_node(lattice, peaks, wl, amplitude, ppw):
         phi2[node] = phi_win[inside] ** 2
         out.append(math.sqrt(float(err @ w) / float(phi2 @ w)))
     return np.array(out)
+
+
+_SMALL = SweepConfig(span_wavelengths=2.0, radius_wavelengths=1.0)
+
+
+@settings(deadline=None, max_examples=40)
+@given(kind=st.sampled_from(["line", "square", "hexagonal"]),
+       region=st.sampled_from(["full", "interior"]),
+       d_over_l=st.sampled_from([0.1, 0.2, 0.35]), n=st.integers(1, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_pixel_shape_errors_do_not_depend_on_the_other_draws(
+        kind, region, d_over_l, n, seed):
+    # each draw's error is the same bits in one pass with the others, in
+    # any order, as on its own
+    lat = lattice_for(kind, d_over_l, _SMALL)
+    peaks = distortion._draw_peaks(lat, 90.0, n, seed, "Ds", region)
+    whole = distortion._whole_windows(lat, peaks, 90.0)
+    together = distortion._pixel_shape_errors(lat, peaks, whole, 90.0, 1.0,
+                                              256)
+    alone = [distortion._pixel_shape_errors(lat, peaks[i:i + 1],
+                                            whole[i:i + 1], 90.0, 1.0, 256)
+             for i in range(n)]
+    assert together.tobytes() == np.concatenate(alone).tobytes()
+    back = distortion._pixel_shape_errors(lat, peaks[::-1], whole[::-1], 90.0,
+                                          1.0, 256)
+    assert back.tobytes() == together[::-1].tobytes()
+
+
+@settings(deadline=None, max_examples=60)
+@given(kind=st.sampled_from(["line", "square", "hexagonal"]),
+       n=st.integers(1, 6), seed=st.integers(0, 2 ** 32 - 1),
+       log_wl=st.floats(-0.5, 1.5), amplitude=st.floats(0.1, 10.0))
+def test_pixel_heights_are_sample_pixels(kind, n, seed, log_wl, amplitude):
+    # every pixel of every draw of a pass, the ones outside a draw's reach
+    # included, reads the sample_pixels height of that draw, bit for bit
+    lat = lattice_for(kind, 0.25, _SMALL)
+    wl = lat.pitch * 10.0 ** log_wl
+    peaks = lat.points_from_uniform(np.random.default_rng(seed).uniform(
+        size=(n, lat.uniforms_per_point())))
+    draw = np.repeat(np.arange(n), lat.n_pixels)
+    pixel = np.tile(np.arange(lat.n_pixels), n)
+    got = distortion._pixel_heights(lat, peaks.reshape(n, -1), amplitude, wl,
+                                    pixel, draw)
+    want = np.concatenate([sample_pixels(distortion._field_for(
+        lat, peak, amplitude, wl), lat) for peak in peaks])
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("kind", ["line", "square", "hexagonal"])
+def test_pixel_shape_errors_over_several_passes(kind):
+    # an estimate of more draws than a pass holds, windows crossing the
+    # hull's edge among them, gives each draw its own error
+    lat = lattice_for(kind, 0.25, _SMALL)
+    n = 2 * distortion._BLOCK + 5
+    peaks = distortion._draw_peaks(lat, 90.0, n, 17, "Ds", "full")
+    whole = distortion._whole_windows(lat, peaks, 90.0)
+    assert whole.any() and not whole.all()
+    got = distortion._pixel_shape_errors(lat, peaks, whole, 90.0, 1.0, 256)
+    for i in (0, distortion._BLOCK - 1, distortion._BLOCK, n - 1):
+        alone = distortion._pixel_shape_errors(lat, peaks[i:i + 1],
+                                               whole[i:i + 1], 90.0, 1.0, 256)
+        assert got[i].hex() == alone[0].hex()
+    est = shape_distortion(PIX, lat, 90.0, n, 17)
+    assert est.value == float(np.mean(got))
+
+
+def test_pixel_shape_memory_is_bounded_by_the_pass():
+    # a pass holds _BLOCK draws' runs: about 2,700 a draw on a hexagonal
+    # lattice at d/l 0.1, and the windows that cross the hull's edge split
+    # theirs further; 2,000 draws peak at about 19 MB of NumPy arrays (32
+    # draws a pass), as 200 do, where one pass of all of them would take
+    # well over 100 MB
+    import tracemalloc
+    lat = lattice_for("hexagonal", 0.1, SweepConfig())
+    shape_distortion(PIX, lat, 90.0, 2, 1)          # builds the window
+    tracemalloc.start()
+    try:
+        est = shape_distortion(PIX, lat, 90.0, 2000, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.n_samples == 2000
+    assert peak < 32e6
 
 
 @pytest.mark.parametrize("kind, d_over_l", [

@@ -719,24 +719,28 @@ def _lattice_and_grid(draw):
 
 
 def _expand_runs(lat, xs, ys):
-    """``grid_runs`` as a grid of pixels, (len(ys), len(xs)) or (1, len(xs))
-    on a line, after checking that the runs of every row partition its
-    nodes and that every run reads a pixel."""
+    """``grid_runs`` as grids of pixels, (G, len(ys), len(xs)) for a stack
+    of G grids (G = 1 for 1D axes; one row a grid on a line), after
+    checking that every run paints nodes first .. end - 1 of rows row0 ..
+    row1 - 1 of one grid, that the runs of every grid partition its nodes,
+    and that every run reads a pixel."""
     runs = lat.grid_runs(xs) if ys is None else lat.grid_runs(xs, ys)
-    assert all(a.dtype.kind == "i" for a in runs)
-    row, first, end, pixel = (a.ravel() for a in np.broadcast_arrays(*runs))
-    rows = 1 if ys is None else len(ys)
-    assert np.all((0 <= first) & (first <= end) & (end <= len(xs)))
+    assert all(a.dtype.kind == "i" and a.ndim == 1 for a in runs)
+    assert len({a.size for a in runs}) == 1
+    row0, row1, first, end, pixel = runs
+    grids, m = np.atleast_2d(xs).shape
+    rows = 1 if ys is None else np.atleast_2d(ys).shape[1]
+    assert np.all((0 <= first) & (first < end) & (end <= m))
     assert np.all((0 <= pixel) & (pixel < lat.n_pixels))
-    assert np.all((0 <= row) & (row < rows))
-    count = end - first
-    node = np.repeat(row * len(xs) + first - np.cumsum(count) + count,
-                     count) + np.arange(count.sum())
-    assert np.bincount(node, minlength=rows * len(xs)).tolist() \
-        == [1] * (rows * len(xs))
-    grid = np.empty(rows * len(xs), dtype=np.int64)
-    grid[node] = np.repeat(pixel, end - first)
-    return grid.reshape(rows, len(xs))
+    assert np.all((0 <= row0) & (row0 < row1) & (row1 <= grids * rows))
+    assert np.all(row0 // rows == (row1 - 1) // rows)
+    painted = np.zeros((grids * rows, m), dtype=np.int64)
+    grid = np.empty((grids * rows, m), dtype=np.int64)
+    for r0, r1, f, e, p in zip(row0, row1, first, end, pixel):
+        painted[r0:r1, f:e] += 1
+        grid[r0:r1, f:e] = p
+    assert (painted == 1).all()
+    return grid.reshape(grids, rows, m)
 
 
 def _assert_runs_read_nearest_index(lat, xs, ys):
@@ -753,11 +757,57 @@ def test_grid_runs_give_nearest_index_in_the_hull(case):
     _assert_runs_read_nearest_index(*case)
 
 
+@st.composite
+def _lattice_and_stack(draw):
+    """A lattice and a stack of 2-4 tensor grids of one shape: one grid of
+    ``_lattice_and_grid``, and grids of its size around other points of
+    the hull, each with its own axes, uniform or uneven."""
+    lat, xs, ys = draw(_lattice_and_grid())
+    axes = [[xs], None if ys is None else [ys]]
+    unit = st.floats(0.0, 1.0)
+    for _ in range(draw(st.integers(1, 3))):
+        u = draw(st.tuples(unit, unit, unit))[:lat.uniforms_per_point()]
+        centre = np.atleast_1d(lat.points_from_uniform(np.array([u]))[0])
+        span = lat.pitch * draw(st.floats(0.5, 10.0))
+        for a, c, stack in zip((xs, ys), centre, axes):
+            if stack is None:
+                continue
+            if draw(st.booleans()):
+                rel = np.linspace(-0.5 * span, 0.5 * span, len(a))
+            else:
+                rel = np.cumsum(draw(st.lists(st.floats(1e-3, 1.0),
+                                              min_size=len(a),
+                                              max_size=len(a))))
+                rel = span * (rel - 0.5 * rel[-1]) / rel[-1]
+            stack.append(c + rel)
+    return lat, np.array(axes[0]), None if ys is None else np.array(axes[1])
+
+
+@settings(deadline=None, max_examples=150)
+@given(_lattice_and_stack())
+def test_grid_runs_on_a_stack_equal_one_grid_at_a_time(case):
+    # each grid's runs are those of a call on that grid alone, in order,
+    # with its rows shifted to its place in the stack
+    lat, xs, ys = case
+    rows = 1 if ys is None else ys.shape[1]
+    got = lat.grid_runs(xs, ys)
+    painted = _expand_runs(lat, xs, ys)
+    grid = got[0] // rows
+    for g in range(len(xs)):
+        one = lat.grid_runs(xs[g], None if ys is None else ys[g])
+        mine = [a[grid == g] for a in got]
+        mine[0] = mine[0] - g * rows
+        mine[1] = mine[1] - g * rows
+        assert [a.tolist() for a in mine] == [a.tolist() for a in one]
+        assert painted[g].tobytes() == _expand_runs(
+            lat, xs[g], None if ys is None else ys[g]).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["line", "square", "hexagonal"])
 def test_grid_runs_on_cell_edges(kind):
     # a grid whose nodes sit on cell edges and corners, to roundoff: many
     # nodes are tied between pixels, and each must still read the pixel
-    # nearest_index gives it
+    # nearest_index gives it, alone and in a stack with shifted copies
     if kind == "line":
         # nodes on every pixel and cell midpoint of a 121-pixel line
         lat = make_lattice("line", 30.0, 3600.0)
@@ -774,6 +824,11 @@ def test_grid_runs_on_cell_edges(kind):
     tied = np.sum(d <= d.min(axis=1)[:, None] + 1e-9 * lat.pitch, axis=1) > 1
     inside = _assert_runs_read_nearest_index(lat, xs, ys)
     assert np.count_nonzero(tied & inside) > 100
+    shift = np.array([[0.0], [7.5], [-15.0]])
+    stack = _expand_runs(lat, xs + shift, None if ys is None else ys + shift)
+    for g, dx in enumerate(shift[:, 0]):
+        one = _expand_runs(lat, xs + dx, None if ys is None else ys + dx)
+        assert stack[g].tobytes() == one[0].tobytes()
 
 
 @pytest.mark.parametrize("kind", ["square", "hexagonal"])
@@ -788,18 +843,29 @@ def test_grid_runs_need_ys_on_planar_lattices(kind):
 @settings(deadline=None, max_examples=300)
 @given(n=st.integers(1, 80), t0=st.floats(-1e3, 1e3),
        step=st.floats(1e-3, 10.0), jitter=st.floats(0.0, 0.9),
-       seed=st.integers(0, 2 ** 32 - 1))
-def test_cuts_equal_the_binary_search(n, t0, step, jitter, seed):
-    # axes within a quarter step of uniform take the arithmetic cuts, the
-    # others the binary search; keys sit on the nodes, one ulp to either
-    # side of them, and anywhere from before the first to past the last
+       grids=st.integers(1, 4), seed=st.integers(0, 2 ** 32 - 1))
+def test_cuts_equal_the_binary_search(n, t0, step, jitter, grids, seed):
+    # a stack of axes with their own origins and steps: those within a
+    # quarter step of uniform take the arithmetic cuts, the others the
+    # binary search; keys sit on the nodes, one ulp to either side of them,
+    # and anywhere from before the first to past the last, and each row of
+    # keys names its axis
     rng = np.random.default_rng(seed)
-    t = t0 + step * (np.arange(n) + jitter * rng.uniform(-1.0, 1.0, n))
-    t = np.unique(t)
+    steps = step * rng.uniform(0.5, 2.0, (grids, 1))
+    shake = jitter * (rng.uniform(size=(grids, 1)) < 0.5)
+    t = np.sort(t0 + rng.uniform(-50.0, 50.0, (grids, 1)) * step
+                + steps * (np.arange(n) + shake * rng.uniform(-1.0, 1.0,
+                                                              (grids, n))),
+                axis=1)
     keys = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
-                           rng.uniform(t[0] - 2.0 * step, t[-1] + 2.0 * step,
-                                       (3, 7)).ravel()])
-    assert (fields._cuts(t, keys) == np.searchsorted(t, keys)).all()
+                           t[:, :1] + (t[:, -1:] - t[:, :1] + 4.0 * steps)
+                           * rng.uniform(size=(grids, 21)) - 2.0 * steps],
+                          axis=1)
+    grid = rng.permutation(np.repeat(np.arange(grids), 2))
+    keys = keys[grid]
+    got = fields._cuts(t, keys, grid)
+    for row, g in enumerate(grid):
+        assert (got[row] == np.searchsorted(t[g], keys[row])).all()
 
 
 def _assert_grid_hull_is_contains(lat, xs, ys):
@@ -818,6 +884,19 @@ def _assert_grid_hull_is_contains(lat, xs, ys):
 @given(_lattice_and_grid())
 def test_grid_hull_is_contains_node_for_node(case):
     _assert_grid_hull_is_contains(*case)
+
+
+@settings(deadline=None, max_examples=150)
+@given(_lattice_and_stack())
+def test_grid_hull_on_a_stack_equals_one_grid_at_a_time(case):
+    lat, xs, ys = case
+    rows = 1 if ys is None else ys.shape[1]
+    lo, hi = lat.grid_hull(xs, ys)
+    assert lo.shape == hi.shape == (len(xs) * rows,)
+    for g in range(len(xs)):
+        one = lat.grid_hull(xs[g], None if ys is None else ys[g])
+        assert lo[g * rows:(g + 1) * rows].tolist() == one[0].tolist()
+        assert hi[g * rows:(g + 1) * rows].tolist() == one[1].tolist()
 
 
 @pytest.mark.parametrize("kind", ["line", "square", "hexagonal"])

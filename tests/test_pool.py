@@ -340,17 +340,16 @@ def test_helpers_exit_when_their_parent_is_killed_mid_build(helper_pool):
 
 _SCIPY_LATE = textwrap.dedent("""
     import hashlib, json, sys
-    from crslab import _pool, distortion
+    from crslab import _pool
     from crslab.distortion import position_distortion, shape_distortion
     from crslab.fields import BumpField2D, make_lattice
     from crslab.reconstruct import CrsSurface2D, ReconstructionModel
     if sys.argv[1] == "serial":
         _pool._helpers = lambda n_items: None
     lat = make_lattice("hexagonal", 30.0, 60.0)
-    # pixel-only draws fork the helpers, and neither they nor this process
-    # have loaded SciPy yet; with no heartbeat, every draw is a pool item
-    distortion._HEARTBEAT_S = 0.0
-    pix = shape_distortion(ReconstructionModel("pixel-only"), lat, 90.0, 7, 3)
+    # linear draws fork the helpers, and neither they nor this process
+    # have loaded SciPy yet
+    lin = shape_distortion(ReconstructionModel("linear"), lat, 90.0, 7, 3)
     pool = _pool._POOL
     pids = [p.pid for p in pool.procs] if pool else []
     scipy_at_fork = "scipy" in sys.modules
@@ -359,7 +358,7 @@ _SCIPY_LATE = textwrap.dedent("""
                                     for s in surf.solutions)).hexdigest()
     crs = position_distortion(ReconstructionModel("crs"), lat, 90.0, 5, 4)
     print(json.dumps({"pids": pids, "scipy_at_fork": scipy_at_fork,
-                      "out": [repr(pix), pix.value.hex(), nodes, repr(crs),
+                      "out": [repr(lin), lin.value.hex(), nodes, repr(crs),
                               crs.value.hex(), crs.standard_error.hex()]}))
 """)
 
@@ -382,3 +381,23 @@ def test_helpers_forked_before_scipy_loads_equal_a_serial_run(helper_pool):
     serial = _scipy_late("serial")
     assert serial["pids"] == []
     assert shared["out"] == serial["out"]
+
+
+def test_a_pixel_only_estimate_forks_no_helper():
+    # its draws are vectorised passes in the calling process, however many
+    # there are and however many CPUs it may use
+    code = textwrap.dedent("""
+        from crslab import _pool
+        from crslab.distortion import SweepConfig, lattice_for, shape_distortion
+        from crslab.reconstruct import ReconstructionModel
+        lat = lattice_for("hexagonal", 0.2, SweepConfig())
+        est = shape_distortion(ReconstructionModel("pixel-only"), lat, 90.0,
+                               400, 3)
+        print(est.n_samples, _pool._POOL is None)
+    """)
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep
+               + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["400", "True"]
